@@ -3,13 +3,13 @@
 Exit codes: 0 success (and ZERO for classify), 1 NONZERO (classify), 2 parse
 error, 3 validation error, 4 AMBIGUOUS (classify). Optimizer settings resolve
 as flags > environment (DISCORDANT_SEED, DISCORDANT_RESTARTS,
-DISCORDANT_THREADS) > defaults.
+DISCORDANT_THREADS) > defaults. The restart thread pool defaults to one
+thread; results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -122,8 +122,8 @@ def optimizer_options(command):
         help="Simplex value tolerance.",
     )(command)
     command = click.option(
-        "--threads", type=int, default=None, envvar="DISCORDANT_THREADS",
-        help="Optimizer restart parallelism [default: machine parallelism].",
+        "--threads", type=int, default=1, envvar="DISCORDANT_THREADS", show_default=True,
+        help="Optimizer restart threads; results do not depend on the count.",
     )(command)
     return command
 
@@ -139,8 +139,6 @@ def input_options(command):
 
 
 def _make_config(seed, restarts, tol, threads) -> OptimizerConfig:
-    if threads is None:
-        threads = os.cpu_count() or 1
     return OptimizerConfig(
         restarts=restarts, simplex_tolerance=tol, seed=seed, threads=max(1, threads)
     )
@@ -212,7 +210,7 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         "A": classify_zero_discord(state, "A"),
         "B": classify_zero_discord(state, "B"),
     }
-    ledger = work_ledger(state, kt=1.0, config=config)
+    ledger = work_ledger(state, kt=1.0, config=config, d2_report=d2, d3_report=d3)
 
     warnings: list[str] = []
 

@@ -6,8 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotNormalized, SupportMismatch
-from .measurement import OUTCOME_CLIP, ProjectiveMeasurement, conditional_blocks, post_measurement_state
+from .exceptions import NotNormalized, SupportMismatch
+from .measurement import (
+    OUTCOME_CLIP,
+    ProjectiveMeasurement,
+    _check_dims,
+    conditional_blocks,
+    post_measurement_state,
+)
 from .operator_core import SUPPORT_CLIP, matrix_log_on_support, require_hermitian
 from .states import BipartiteState, validate_density_matrix
 
@@ -80,11 +86,7 @@ def mutual_information(state: BipartiteState) -> float:
 def conditional_entropy_after_measurement(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     """Average entropy of the unmeasured side over the measurement outcomes:
     sum_a p_a S(rho_other | outcome a)."""
-    expected = state.d_a if m.subsystem == "A" else state.d_b
-    if m.d != expected:
-        raise DimensionMismatch(
-            f"measurement dimension {m.d} does not match subsystem {m.subsystem} of dims {state.dims}"
-        )
+    _check_dims(state, m)
     blocks = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)
     total = 0.0
     for block in blocks:

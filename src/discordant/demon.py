@@ -18,7 +18,7 @@ from .correlations import (
     entropy_of_eigenvalues,
     von_neumann_entropy,
 )
-from .discord import OptimizerConfig, discord_d3, optimize_discord
+from .discord import DiscordReport, OptimizerConfig, discord_d3, optimize_discord
 from .exceptions import DiscordantError, InvalidParameters
 from .measurement import ProjectiveMeasurement, post_measurement_state
 from .operator_core import eig
@@ -51,15 +51,33 @@ def work_single(rho, kt: float = 1.0) -> float:
     return kt * (float(np.log2(m.shape[0])) - entropy)
 
 
-def work_ledger(state: BipartiteState, kt: float = 1.0, config: OptimizerConfig | None = None) -> WorkLedger:
+def work_ledger(
+    state: BipartiteState,
+    kt: float = 1.0,
+    config: OptimizerConfig | None = None,
+    d2_report: DiscordReport | None = None,
+    d3_report: DiscordReport | None = None,
+) -> WorkLedger:
     """Work accounting for all four scenarios on a bipartite state.
 
     The entropy-production differences are computed along the work path and
     cross-checked against the discord measures; the two paths must agree to
     1e-7. Scaling kT scales every field exactly.
+
+    ``d2_report`` (from ``optimize_discord("D2", state, "A", config)``) and
+    ``d3_report`` (from ``discord_d3(state, "A")``) are used in place of
+    running those again when given; ``config`` then goes unused. A report of
+    another measure, or a D2 report measured on side B, raises
+    InvalidParameters. The cross-checks apply to passed reports too.
     """
     if kt <= 0:
         raise InvalidParameters(f"kT must be positive, got {kt}")
+    if d2_report is not None and (
+        d2_report.measure != "D2" or d2_report.optimal_measurement.subsystem != "A"
+    ):
+        raise InvalidParameters("d2_report must be a D2 report measured on side A")
+    if d3_report is not None and d3_report.measure != "D3":
+        raise InvalidParameters(f"d3_report must be a D3 report, got {d3_report.measure}")
     d_a, d_b = state.dims
     log_dim = float(np.log2(d_a * d_b))
     s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("A")))
@@ -69,12 +87,14 @@ def work_ledger(state: BipartiteState, kt: float = 1.0, config: OptimizerConfig 
     w_plus = log_dim - s_ab
     w_local = log_dim - s_a - s_b
 
-    d2_report = optimize_discord("D2", state, side="A", config=config)
+    if d2_report is None:
+        d2_report = optimize_discord("D2", state, side="A", config=config)
     measurement = d2_report.optimal_measurement
     s_post = von_neumann_entropy(post_measurement_state(state, measurement).rho)
     w2 = log_dim - s_post
 
-    d3_report = discord_d3(state, side="A")
+    if d3_report is None:
+        d3_report = discord_d3(state, side="A")
     star_basis = eig(state.marginal("A")).eigenvectors
     s_cond_star = conditional_entropy_after_measurement(
         state, ProjectiveMeasurement("A", star_basis)

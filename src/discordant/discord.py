@@ -17,13 +17,14 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .correlations import entropy_of_eigenvalues, mutual_information
-from .exceptions import DiscordantError, DimensionMismatch, InvalidParameters
+from .exceptions import DiscordantError, InvalidParameters
 from .measurement import (
     OUTCOME_CLIP,
     ProjectiveMeasurement,
+    _check_dims,
     _givens,
     basis_from_parameters,
     conditional_blocks,
@@ -114,18 +115,26 @@ class MeasuredDiscord(NamedTuple):
     j_value: float
 
 
-def _entropy_profile(state: BipartiteState, basis: np.ndarray, side: str):
-    """(H(outcomes), conditional entropy of the other side, post-measurement entropy)."""
+def _conditional_entropy(state: BipartiteState, basis: np.ndarray, side: str):
+    """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)).
+
+    The search objectives call this directly: H(outcomes) and the
+    post-measurement entropy are left to the callers that report them.
+    """
     blocks = conditional_blocks(state.rho, state.dims, basis, side)
     probs = np.einsum("kii->k", blocks).real
     spectra = np.linalg.eigvalsh(blocks)
-    h_outcomes = entropy_of_eigenvalues(probs)
     s_conditional = 0.0
     for p, spectrum in zip(probs, spectra):
         if p > OUTCOME_CLIP:
             s_conditional += p * entropy_of_eigenvalues(spectrum / p)
-    s_post = entropy_of_eigenvalues(spectra.ravel())
-    return h_outcomes, s_conditional, s_post
+    return probs, spectra, s_conditional
+
+
+def _entropy_profile(state: BipartiteState, basis: np.ndarray, side: str):
+    """(H(outcomes), conditional entropy of the other side, post-measurement entropy)."""
+    probs, spectra, s_conditional = _conditional_entropy(state, basis, side)
+    return entropy_of_eigenvalues(probs), s_conditional, entropy_of_eigenvalues(spectra.ravel())
 
 
 def _entropies(state: BipartiteState, side: str):
@@ -136,18 +145,10 @@ def _entropies(state: BipartiteState, side: str):
     return s_side, s_other, s_ab
 
 
-def _check_measurement(state: BipartiteState, m: ProjectiveMeasurement) -> None:
-    expected = state.d_a if m.subsystem == "A" else state.d_b
-    if m.d != expected:
-        raise DimensionMismatch(
-            f"measurement dimension {m.d} does not match subsystem {m.subsystem} of dims {state.dims}"
-        )
-
-
 def discord_d1_at(state: BipartiteState, m: ProjectiveMeasurement) -> MeasuredDiscord:
     """Measurement-fixed discord S(rho_side) + S(other|m) - S(rho_AB), together
     with the information gain J = S(rho_other) - S(other|m)."""
-    _check_measurement(state, m)
+    _check_dims(state, m)
     s_side, s_other, s_ab = _entropies(state, m.subsystem)
     _, s_conditional, _ = _entropy_profile(state, m.basis, m.subsystem)
     return MeasuredDiscord(s_side + s_conditional - s_ab, s_other - s_conditional)
@@ -159,7 +160,7 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     Cross-checked internally against the entropy of the assembled
     post-measurement state; a disagreement beyond 1e-9 raises.
     """
-    _check_measurement(state, m)
+    _check_dims(state, m)
     _, _, s_ab = _entropies(state, m.subsystem)
     h, s_conditional, _ = _entropy_profile(state, m.basis, m.subsystem)
     value = h + s_conditional - s_ab
@@ -190,9 +191,14 @@ def optimize_discord(
     Multistart Nelder-Mead over the Givens-angle chart: ``config.restarts``
     seeded random starting points plus (by default) the eigenbasis of the
     measured marginal. Deterministic for a fixed config; ties between restarts
-    (within 1e-10) resolve to the lowest restart index. Non-convergence within
-    the evaluation budget clears the ``converged`` flag but still returns the
-    best point found.
+    (within 1e-10) resolve to the lowest restart index.
+
+    ``converged`` means that a simplex reaching the best value stopped within
+    tolerance. It is not a certificate of the global minimum: every start can
+    end in the same local minimum. When no such simplex stopped within the
+    evaluation budget the flag is cleared, and the best point found is still
+    returned. A one-dimensional measured side has the single basis [[1]],
+    which is evaluated once and reported as converged.
     """
     measure = str(measure).upper()
     if measure not in ("D1", "D2"):
@@ -208,17 +214,10 @@ def optimize_discord(
     constant = (s_side - s_ab) if measure == "D1" else -s_ab
 
     def objective(params: np.ndarray) -> float:
-        basis = basis_from_parameters(params, d)
-        h, s_conditional, _ = _entropy_profile(state, basis, side)
-        contribution = s_conditional if measure == "D1" else h + s_conditional
-        return contribution + constant
-
-    n_params = d * (d - 1)
-    rng = np.random.default_rng(config.seed)
-    starts: list[np.ndarray] = []
-    if config.include_eigenbasis_seed:
-        starts.append(parameters_for_basis(eig(state.marginal(side)).eigenvectors))
-    starts.extend(_random_start(rng, n_params) for _ in range(config.restarts))
+        probs, _, s_conditional = _conditional_entropy(state, basis_from_parameters(params, d), side)
+        if measure == "D1":
+            return s_conditional + constant
+        return entropy_of_eigenvalues(probs) + s_conditional + constant
 
     def run(start: np.ndarray):
         return minimize(
@@ -233,11 +232,23 @@ def optimize_discord(
             ),
         )
 
-    if config.threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, starts))
+    n_params = d * (d - 1)
+    if n_params == 0:
+        # A one-dimensional side has the single basis [[1]], and Nelder-Mead
+        # cannot start from an empty vector: evaluate it once.
+        lone = np.empty(0)
+        results = [OptimizeResult(x=lone, fun=objective(lone), success=True, nfev=1)]
     else:
-        results = [run(start) for start in starts]
+        rng = np.random.default_rng(config.seed)
+        starts: list[np.ndarray] = []
+        if config.include_eigenbasis_seed:
+            starts.append(parameters_for_basis(eig(state.marginal(side)).eigenvectors))
+        starts.extend(_random_start(rng, n_params) for _ in range(config.restarts))
+        if config.threads > 1 and len(starts) > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                results = list(pool.map(run, starts))
+        else:
+            results = [run(start) for start in starts]
 
     best_index = 0
     for index in range(1, len(results)):
@@ -311,7 +322,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
             for p, q in planes:
                 rotation = rotation @ _givens(d, p, q, params[k], params[k + 1])
                 k += 2
-            _, s_cond, _ = _entropy_profile(state, basis @ rotation, side)
+            _, _, s_cond = _conditional_entropy(state, basis @ rotation, side)
             return s_side + s_cond - s_ab
 
         rng = np.random.default_rng(0)

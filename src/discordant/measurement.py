@@ -18,6 +18,7 @@ modulo per-vector phases, which projectors ignore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -82,12 +83,12 @@ def basis_from_parameters(params, d: int) -> np.ndarray:
     x = np.asarray(params, dtype=float).ravel()
     if x.size != d * (d - 1):
         raise BadParameterCount(f"need {d * (d - 1)} angles for dimension {d}, got {x.size}")
-    u = np.eye(d, dtype=complex)
-    k = 0
-    for p, q in _planes(d):
-        u = u @ _givens(d, p, q, x[k], x[k + 1])
-        k += 2
-    return u
+    rotations = [_givens(d, p, q, x[2 * k], x[2 * k + 1]) for k, (p, q) in enumerate(_planes(d))]
+    if not rotations:
+        return np.eye(d, dtype=complex)
+    # A lone rotation (d = 2) has -0.0 entries at zero phase; adding 0.0 maps
+    # them to +0.0, as matrix products do, so --json never prints -0.0 here.
+    return reduce(np.matmul, rotations) + 0.0
 
 
 def from_parameters(params, d: int, subsystem: str = "A") -> ProjectiveMeasurement:
@@ -135,6 +136,7 @@ def conditional_blocks(rho: np.ndarray, dims: tuple[int, int], basis: np.ndarray
 
 
 def _check_dims(state: BipartiteState, m: ProjectiveMeasurement) -> None:
+    """Raise DimensionMismatch unless ``m`` acts on its subsystem's dimension."""
     expected = state.d_a if m.subsystem == "A" else state.d_b
     if m.d != expected:
         raise DimensionMismatch(

@@ -20,10 +20,16 @@ DEGENERACY_GAP = 1e-8
 
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return ``matrix`` as a complex array, raising NonHermitian if it is not square
-    Hermitian within ``tol`` (max-abs deviation from the conjugate transpose)."""
+    Hermitian within ``tol`` (max-abs deviation from the conjugate transpose).
+
+    A non-finite entry also raises NonHermitian: the deviation test alone
+    would pass it, since comparisons with nan are false.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonHermitian("matrix has non-finite entries")
     deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if deviation > tol:
         raise NonHermitian(f"Hermiticity deviation {deviation:.3e} exceeds {tol:.1e}")

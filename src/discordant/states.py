@@ -130,7 +130,7 @@ def example_state(b: float, c: float) -> BipartiteState:
         + float(b) * np.kron(_SIGMA_Z, np.eye(2))
         + float(c) * np.kron(_SIGMA_X, _SIGMA_X)
     )
-    if float(np.linalg.eigvalsh(rho)[0]) < PSD_FLOOR:
+    if float(np.linalg.eigvalsh(require_hermitian(rho))[0]) < PSD_FLOOR:
         raise InvalidParameters(f"b={b}, c={c} gives a negative eigenvalue; need b^2 + c^2 <= 1")
     return BipartiteState((2, 2), rho)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from discordant import discord as discord_module
 from discordant import (
     BipartiteState,
     InvalidParameters,
@@ -19,6 +21,7 @@ from discordant import (
     optimize_discord,
     post_measurement_state,
 )
+from discordant.measurement import basis_from_parameters
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
@@ -179,6 +182,43 @@ class TestOptimizer:
     def test_rejects_unknown_measure(self):
         with pytest.raises(InvalidParameters):
             optimize_discord("D3", example_state(0.5, 0.5))
+
+    def test_one_dimensional_side_is_evaluated_once(self):
+        state = BipartiteState((1, 2), np.diag([0.5, 0.5]))
+        for measure in ("D1", "D2"):
+            report = optimize_discord(measure, state, config=FAST)
+            assert report.value == pytest.approx(0.0, abs=1e-12)
+            assert report.diagnostics.converged
+            assert report.diagnostics.function_evaluations == 1
+            assert report.diagnostics.restarts_used == 1
+            assert np.array_equal(report.optimal_measurement.basis, [[1.0]])
+
+    @pytest.mark.parametrize("measure", ["D1", "D2"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2)])
+    def test_search_objective_equals_entropy_profile_value(self, monkeypatch, measure, dims):
+        # Capture the objective that optimize_discord hands to Nelder-Mead.
+        objectives = []
+
+        def first_start_only(fun, x0, **_):
+            objectives.append(fun)
+            return OptimizeResult(x=x0, fun=fun(x0), success=True, nfev=1)
+
+        monkeypatch.setattr(discord_module, "minimize", first_start_only)
+        state = random_state(dims, seed=41)
+        optimize_discord(measure, state, config=OptimizerConfig(restarts=1))
+        s_side, _, s_ab = discord_module._entropies(state, "A")
+        rng = np.random.default_rng(dims[0])
+        d = dims[0]
+        for _ in range(50):
+            params = rng.uniform(0.0, 2 * np.pi, d * (d - 1))
+            h, s_conditional, _ = discord_module._entropy_profile(
+                state, basis_from_parameters(params, d), "A"
+            )
+            if measure == "D1":
+                expected = s_conditional + (s_side - s_ab)
+            else:
+                expected = h + s_conditional + (-s_ab)
+            assert objectives[0](params) == expected
 
 
 class TestD3:

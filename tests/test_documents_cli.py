@@ -159,6 +159,65 @@ class TestCliBasics:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
+    def test_analyze_json_does_not_depend_on_thread_count(self):
+        args = (
+            "analyze", "--family", "example_state", "--param", "b=0.0", "--param", "c=0.5",
+            "--restarts", "4", "--seed", "9", "--json",
+        )
+        default = invoke(*args)
+        one = invoke(*args, "--threads", "1")
+        two = invoke(*args, "--threads", "2")
+        assert default.exit_code == one.exit_code == two.exit_code == 0
+        assert default.output == one.output
+        assert json.loads(two.output)["settings"]["threads"] == 2
+        assert one.output == two.output.replace('"threads": 2', '"threads": 1')
+
+    def test_analyze_runs_each_search_once(self, monkeypatch):
+        import discordant.cli as cli_module
+        import discordant.demon as demon_module
+
+        searches = []
+        for module in (cli_module, demon_module):
+            for name in ("optimize_discord", "discord_d3"):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    report = _original(*args, **kwargs)
+                    searches.append((_name, report.measure))
+                    return report
+
+                monkeypatch.setattr(module, name, counted)
+        result = invoke("analyze", "--family", "example_state", "--param", "b=0.0",
+                        "--param", "c=0.5", "--restarts", "2", "--json")
+        assert result.exit_code == 0
+        assert sorted(searches) == [
+            ("discord_d3", "D3"), ("optimize_discord", "D1"), ("optimize_discord", "D2"),
+        ]
+
+    @pytest.mark.parametrize("document", [
+        {"family": {"name": "example_state", "parameters": {"b": float("nan"), "c": 0.5}}},
+        {"explicit": {"dims": [1, 2],
+                      "matrix": [[[0.5, 0], [float("nan"), 0]], [[0, 0], [0.5, 0]]]}},
+    ], ids=["family", "explicit"])
+    @pytest.mark.parametrize("command", [("analyze",), ("classify", "--side", "B")])
+    def test_non_finite_document_exit_3(self, tmp_path, document, command):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(document))
+        result = invoke(*command, "--input", str(path))
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
+
+    def test_one_dimensional_measured_side(self, tmp_path):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(
+            {"explicit": {"dims": [1, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}}
+        ))
+        result = invoke("analyze", "--input", str(path), "--json")
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["discord"]["d1"]["value"] == 0.0
+        assert report["discord"]["d1"]["diagnostics"]["converged"]
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -13,7 +13,7 @@ from discordant import (
     post_measurement_state,
     von_neumann_entropy,
 )
-from discordant.measurement import basis_from_parameters
+from discordant.measurement import _givens, basis_from_parameters
 from discordant.states import bell_mixture, example_state, random_state, zero_discord_state
 
 from oracles import state_entropy
@@ -55,6 +55,21 @@ class TestChart:
                     for j, q in enumerate(projectors):
                         expected = p if i == j else np.zeros((d, d))
                         np.testing.assert_allclose(p @ q, expected, atol=1e-10)
+
+    def test_chart_equals_product_from_identity(self):
+        rng = np.random.default_rng(23)
+        cases = [(d, rng.uniform(-np.pi, np.pi, d * (d - 1))) for d in (1, 2, 3, 4)]
+        # Zero phases give -0.0 entries in a lone rotation.
+        cases += [(2, np.array([np.pi, 0.0])), (3, np.array([np.pi, 0.0, 0.0, 0.0, np.pi / 2, 0.0]))]
+        for d, params in cases:
+            expected = np.eye(d, dtype=complex)
+            k = 0
+            for p in range(d):
+                for q in range(p + 1, d):
+                    expected = expected @ _givens(d, p, q, params[k], params[k + 1])
+                    k += 2
+            # Bytes, not ==, so that signed zeros must match as well.
+            assert basis_from_parameters(params, d).tobytes() == expected.tobytes()
 
     def test_parameter_count(self):
         with pytest.raises(BadParameterCount):

@@ -12,6 +12,7 @@ from discordant import (
     partial_trace,
     tensor,
 )
+from discordant.operator_core import require_hermitian
 from discordant.states import bell_psi, example_state, random_state
 
 from oracles import loop_partial_trace
@@ -67,6 +68,21 @@ class TestEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, entry):
+        # A nan deviation passes a "> tol" test; the entry must be rejected first.
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = entry
+        with pytest.raises(NonHermitian):
+            require_hermitian(m)
+        m[1, 0] = np.conj(entry)
+        with pytest.raises(NonHermitian):
+            eig(m)
+
+    def test_example_state_rejects_non_finite_parameter(self):
+        with pytest.raises(NonHermitian):
+            example_state(np.nan, 0.5)
 
 
 class TestMatrixFunctions:
