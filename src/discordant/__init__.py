@@ -9,6 +9,7 @@ command exposes the same through a CLI.
 """
 
 from .correlations import (
+    StateEntropies,
     cerf_adami_conditional_entropy,
     cerf_adami_operator,
     classical_conditional_entropy,
@@ -19,6 +20,7 @@ from .correlations import (
     mutual_information,
     one_way_purification_rate,
     shannon_entropy,
+    state_entropies,
     von_neumann_entropy,
 )
 from .demon import WorkLedger, work_ledger, work_single

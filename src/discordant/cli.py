@@ -1,7 +1,8 @@
 """Command-line front end: analyze states, classify discord, reproduce tables.
 
 Exit codes: 0 success (and ZERO for classify), 1 NONZERO (classify), 2 parse
-error, 3 validation error, 4 AMBIGUOUS (classify). Optimizer settings resolve
+error (a malformed document or family parameter, or an optimizer option out of
+range), 3 validation error, 4 AMBIGUOUS (classify). Optimizer settings resolve
 as flags > environment (DISCORDANT_SEED, DISCORDANT_RESTARTS,
 DISCORDANT_THREADS) > defaults. The restart thread pool defaults to one
 thread; results do not depend on the thread count.
@@ -20,14 +21,14 @@ import numpy as np
 from .correlations import (
     cerf_adami_conditional_entropy,
     conditional_entropy_after_measurement,
-    entropy_of_eigenvalues,
-    mutual_information,
+    state_entropies,
 )
 from .demon import WorkLedger, work_ledger
 from .discord import (
     DiscordReport,
     OptimizerConfig,
     ZeroDiscordVerdict,
+    _entropy_profile,
     classify_zero_discord,
     bell_mixture_discord_closed_form,
     discord_d1_at,
@@ -38,15 +39,16 @@ from .discord import (
 )
 from .documents import (
     FAMILIES,
-    FAMILY_PARAMETERS,
     StateDocument,
+    _pair_matrix,
     document_to_state,
     dumps_document,
     loads_document,
+    parse_document,
     state_to_document,
 )
-from .exceptions import DiscordantError, DocumentError
-from .measurement import ProjectiveMeasurement, conditional_blocks
+from .exceptions import DiscordantError, DocumentError, InvalidParameters
+from .measurement import ProjectiveMeasurement
 from .states import BipartiteState, bell_mixture, classical_classical_state, teahouse_ensemble
 
 EXIT_NONZERO = 1
@@ -84,14 +86,7 @@ def _resolve_document(input_path, family, params) -> StateDocument:
         text = sys.stdin.read() if input_path == "-" else open(input_path, "r", encoding="utf-8").read()
         return loads_document(text)
     parameters = dict(_parse_param(pair) for pair in params)
-    if family not in FAMILIES:
-        raise DocumentError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    return StateDocument(family=family, parameters=parameters)
-
-
-def _load_state(input_path, family, params) -> tuple[BipartiteState, StateDocument]:
-    document = _resolve_document(input_path, family, params)
-    return document_to_state(document), document
+    return parse_document({"family": {"name": family, "parameters": parameters}})
 
 
 def _fail(error: Exception, code: int):
@@ -99,9 +94,10 @@ def _fail(error: Exception, code: int):
     sys.exit(code)
 
 
-def _guarded_load(input_path, family, params):
+def _guarded_load(input_path, family, params) -> tuple[BipartiteState, StateDocument]:
     try:
-        return _load_state(input_path, family, params)
+        document = _resolve_document(input_path, family, params)
+        return document_to_state(document), document
     except (DocumentError, OSError) as error:
         _fail(error, EXIT_PARSE)
     except DiscordantError as error:
@@ -139,19 +135,16 @@ def input_options(command):
 
 
 def _make_config(seed, restarts, tol, threads) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=restarts, simplex_tolerance=tol, seed=seed, threads=max(1, threads)
-    )
-
-
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    try:
+        return OptimizerConfig(restarts=restarts, simplex_tolerance=tol, seed=seed, threads=threads)
+    except InvalidParameters as error:
+        _fail(error, EXIT_PARSE)
 
 
 def _measurement_payload(m: ProjectiveMeasurement | None):
     if m is None:
         return None
-    return {"subsystem": m.subsystem, "basis": _matrix_pairs(m.basis)}
+    return {"subsystem": m.subsystem, "basis": _pair_matrix(m.basis)}
 
 
 def _report_payload(report: DiscordReport) -> dict:
@@ -190,17 +183,9 @@ def _ledger_payload(ledger: WorkLedger) -> dict:
     }
 
 
-def _outcome_probabilities(state: BipartiteState, m: ProjectiveMeasurement) -> np.ndarray:
-    blocks = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)
-    return np.einsum("kii->k", blocks).real
-
-
 def _analysis_report(state: BipartiteState, document: StateDocument, config: OptimizerConfig) -> dict:
     started = time.perf_counter()
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("A")))
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("B")))
-    s_ab = entropy_of_eigenvalues(np.linalg.eigvalsh(state.rho))
-    mutual = mutual_information(state)
+    entropies = state_entropies(state)
 
     d1 = optimize_discord("D1", state, side="A", config=config)
     d2 = optimize_discord("D2", state, side="A", config=config)
@@ -221,12 +206,12 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         return {"left": left, "right": right, "residual": residual, "tolerance": IDENTITY_TOL}
 
     check = d2.optimal_measurement
-    h_check = entropy_of_eigenvalues(_outcome_probabilities(state, check))
+    h_check, _, _ = _entropy_profile(state, check.basis, check.subsystem)
     identities = {
         "d1_vs_d2_at_optimal_basis": _identity(
             "d1_vs_d2_at_optimal_basis",
             discord_d1_at(state, check).value,
-            discord_d2_at(state, check) - (h_check - s_a),
+            discord_d2_at(state, check) - (h_check - entropies.s_a),
         ),
         "conditional_operator_entropy": _identity(
             "conditional_operator_entropy",
@@ -235,7 +220,7 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
             - discord_d1_at(state, d1.optimal_measurement).value,
         ),
         "work_vs_mutual_information": _identity(
-            "work_vs_mutual_information", ledger.delta_l, ledger.kt * mutual
+            "work_vs_mutual_information", ledger.delta_l, ledger.kt * entropies.mutual_information
         ),
         "work_vs_one_way_deficit": _identity(
             "work_vs_one_way_deficit", ledger.delta_2, ledger.kt * d2.value
@@ -252,11 +237,16 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         "state": {
             "dims": list(state.dims),
             "purity": state.purity(),
-            "spectrum_ab": [float(v) for v in np.linalg.eigvalsh(state.rho)],
-            "spectrum_a": [float(v) for v in np.linalg.eigvalsh(state.marginal("A"))],
-            "spectrum_b": [float(v) for v in np.linalg.eigvalsh(state.marginal("B"))],
+            "spectrum_ab": [float(v) for v in entropies.spectrum_ab],
+            "spectrum_a": [float(v) for v in entropies.spectrum_a],
+            "spectrum_b": [float(v) for v in entropies.spectrum_b],
         },
-        "entropies": {"s_a": s_a, "s_b": s_b, "s_ab": s_ab, "mutual_information": mutual},
+        "entropies": {
+            "s_a": entropies.s_a,
+            "s_b": entropies.s_b,
+            "s_ab": entropies.s_ab,
+            "mutual_information": entropies.mutual_information,
+        },
         "discord": {
             "d1": _report_payload(d1),
             "d2": _report_payload(d2),
@@ -425,45 +415,31 @@ def demon(input_path, family, params, seed, restarts, tol, threads, kt, as_json)
 
 
 def _table1_rows(a: float, config: OptimizerConfig) -> list[dict]:
-    rows = []
-    teahouse_equal = teahouse_ensemble().density_matrix()
-    rows.append({
-        "states": "9 teahouse states, equal weights",
-        "d1_a": optimize_discord("D1", teahouse_equal, "A", config).value,
-        "d1_b": optimize_discord("D1", teahouse_equal, "B", config).value,
-        "locally_measurable": "no",
-        "notes": [],
-    })
-    biorthogonal = classical_classical_state(np.diag([0.5, 0.5]))
-    rows.append({
-        "states": "2 product bi-orthogonal states",
-        "d1_a": optimize_discord("D1", biorthogonal, "A", config).value,
-        "d1_b": optimize_discord("D1", biorthogonal, "B", config).value,
-        "locally_measurable": "yes",
-        "notes": [],
-    })
-    entangled = bell_mixture(a)
-    rows.append({
-        "states": f"2 entangled orthogonal states (Bell mixture, a={a})",
-        "d1_a": optimize_discord("D1", entangled, "A", config).value,
-        "d1_b": None,
-        "locally_measurable": "yes",
-        "notes": [
-            f"closed form 1 - H2(a) = {bell_mixture_discord_closed_form(a)!r}",
-            CLOSED_FORM_NOTE,
-        ],
-    })
     doubled = np.full(9, 1 / 11)
     doubled[6] = doubled[8] = 2 / 11
-    teahouse_doubled = teahouse_ensemble(doubled).density_matrix()
-    rows.append({
-        "states": "9 teahouse states, psi7/psi9 weights doubled",
-        "d1_a": optimize_discord("D1", teahouse_doubled, "A", config).value,
-        "d1_b": None,
-        "locally_measurable": "no",
-        "notes": [],
-    })
-    return rows
+    table = [
+        # (states, state, D1 also reported on side B, locally measurable, notes)
+        ("9 teahouse states, equal weights", teahouse_ensemble().density_matrix(), True, "no", []),
+        ("2 product bi-orthogonal states", classical_classical_state(np.diag([0.5, 0.5])), True, "yes", []),
+        (
+            f"2 entangled orthogonal states (Bell mixture, a={a})", bell_mixture(a), False, "yes",
+            [f"closed form 1 - H2(a) = {bell_mixture_discord_closed_form(a)!r}", CLOSED_FORM_NOTE],
+        ),
+        (
+            "9 teahouse states, psi7/psi9 weights doubled",
+            teahouse_ensemble(doubled).density_matrix(), False, "no", [],
+        ),
+    ]
+    return [
+        {
+            "states": label,
+            "d1_a": optimize_discord("D1", state, "A", config).value,
+            "d1_b": optimize_discord("D1", state, "B", config).value if both_sides else None,
+            "locally_measurable": measurable,
+            "notes": notes,
+        }
+        for label, state, both_sides, measurable, notes in table
+    ]
 
 
 @main.command()
@@ -511,7 +487,7 @@ def states() -> None:
 def states_list() -> None:
     """Show families and their parameters."""
     for name in FAMILIES:
-        click.echo(f"{name:<22} {FAMILY_PARAMETERS[name]}")
+        click.echo(f"{name:<22} {FAMILIES[name].summary}")
 
 
 @states.command("emit")
@@ -522,8 +498,7 @@ def states_list() -> None:
 def states_emit(family, params, explicit, output):
     """Emit a state document for FAMILY."""
     try:
-        parameters = dict(_parse_param(pair) for pair in params)
-        document = StateDocument(family=family, parameters=parameters)
+        document = _resolve_document(None, family, params)
         if explicit:
             document = state_to_document(document_to_state(document))
         text = dumps_document(document)

@@ -4,6 +4,8 @@ one-way purification rates. Everything is in bits.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .exceptions import NotNormalized, SupportMismatch
@@ -21,12 +23,16 @@ _NORMALIZATION_TOL = 1e-9
 
 
 def entropy_of_eigenvalues(values, clip: float = SUPPORT_CLIP) -> float:
-    """-sum(v log2 v) over entries above ``clip``; no validation."""
+    """-sum(v log2 v) over entries above ``clip``; no validation.
+
+    A pure spectrum gives +0.0: the sum there is 0.0, and negating it would
+    give -0.0.
+    """
     v = np.asarray(values, dtype=float).ravel()
     v = v[v > clip]
     if v.size == 0:
         return 0.0
-    return float(-np.sum(v * np.log2(v)))
+    return 0.0 - float(np.sum(v * np.log2(v)))
 
 
 def _as_distribution(p, what: str = "probability vector") -> np.ndarray:
@@ -75,12 +81,30 @@ def von_neumann_entropy(rho) -> float:
     return entropy_of_eigenvalues(np.linalg.eigvalsh(m))
 
 
+class StateEntropies(NamedTuple):
+    """Ascending spectra of rho_A, rho_B and rho_AB, and their entropies in bits."""
+
+    spectrum_a: np.ndarray
+    spectrum_b: np.ndarray
+    spectrum_ab: np.ndarray
+    s_a: float
+    s_b: float
+    s_ab: float
+
+    @property
+    def mutual_information(self) -> float:
+        return self.s_a + self.s_b - self.s_ab
+
+
+def state_entropies(state: BipartiteState) -> StateEntropies:
+    """The marginal and joint spectra of ``state`` with S(rho_A), S(rho_B), S(rho_AB)."""
+    spectra = [np.linalg.eigvalsh(m) for m in (state.marginal("A"), state.marginal("B"), state.rho)]
+    return StateEntropies(*spectra, *(entropy_of_eigenvalues(v) for v in spectra))
+
+
 def mutual_information(state: BipartiteState) -> float:
     """Total correlations S(rho_A) + S(rho_B) - S(rho_AB)."""
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("A")))
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("B")))
-    s_ab = entropy_of_eigenvalues(np.linalg.eigvalsh(state.rho))
-    return s_a + s_b - s_ab
+    return state_entropies(state).mutual_information
 
 
 def conditional_entropy_after_measurement(state: BipartiteState, m: ProjectiveMeasurement) -> float:
@@ -146,6 +170,5 @@ def one_way_purification_rate(state: BipartiteState, m: ProjectiveMeasurement) -
     """Pure-qubit yield log2(d_A d_B) + I(rho') - S(rho_A) - S(rho_B) at the
     supplied measurement; pass the discord-optimal measurement for the optimal rate."""
     measured = post_measurement_state(state, m)
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("A")))
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("B")))
-    return float(np.log2(state.dim)) + mutual_information(measured) - s_a - s_b
+    entropies = state_entropies(state)
+    return float(np.log2(state.dim)) + mutual_information(measured) - entropies.s_a - entropies.s_b

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    conditional_entropy_after_measurement,
-    entropy_of_eigenvalues,
-    von_neumann_entropy,
-)
+from .correlations import conditional_entropy_after_measurement, state_entropies, von_neumann_entropy
 from .discord import DiscordReport, OptimizerConfig, discord_d3, optimize_discord
 from .exceptions import DiscordantError, InvalidParameters
 from .measurement import ProjectiveMeasurement, post_measurement_state
@@ -80,9 +76,8 @@ def work_ledger(
         raise InvalidParameters(f"d3_report must be a D3 report, got {d3_report.measure}")
     d_a, d_b = state.dims
     log_dim = float(np.log2(d_a * d_b))
-    s_a = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("A")))
-    s_b = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal("B")))
-    s_ab = entropy_of_eigenvalues(np.linalg.eigvalsh(state.rho))
+    entropies = state_entropies(state)
+    s_a, s_b, s_ab = entropies.s_a, entropies.s_b, entropies.s_ab
 
     w_plus = log_dim - s_ab
     w_local = log_dim - s_a - s_b
@@ -105,9 +100,8 @@ def work_ledger(
     delta_2 = w_plus - w2
     delta_3 = w_plus - w3
 
-    mutual = s_a + s_b - s_ab
     for label, direct, via_discord in (
-        ("mutual information", delta_l, mutual),
+        ("mutual information", delta_l, entropies.mutual_information),
         ("one-way deficit", delta_2, d2_report.value),
         ("eigenbasis discord", delta_3, d3_report.value),
     ):

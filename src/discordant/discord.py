@@ -19,13 +19,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .correlations import entropy_of_eigenvalues, mutual_information
+from .correlations import entropy_of_eigenvalues, mutual_information, state_entropies
 from .exceptions import DiscordantError, InvalidParameters
 from .measurement import (
     OUTCOME_CLIP,
     ProjectiveMeasurement,
     _check_dims,
-    _givens,
+    _givens_product,
     basis_from_parameters,
     conditional_blocks,
     dephase,
@@ -63,14 +63,17 @@ class OptimizerConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise InvalidParameters("restarts must be >= 1")
-        if self.simplex_tolerance <= 0:
-            raise InvalidParameters("simplex_tolerance must be positive")
-        if self.max_evaluations < 1:
-            raise InvalidParameters("max_evaluations must be >= 1")
-        if self.threads < 1:
-            raise InvalidParameters("threads must be >= 1")
+        # Written as "not (valid)" so that nan fails every test.
+        if not self.restarts >= 1:
+            raise InvalidParameters(f"restarts must be >= 1, got {self.restarts!r}")
+        if not 0 < self.simplex_tolerance < float("inf"):
+            raise InvalidParameters(
+                f"simplex_tolerance must be positive and finite, got {self.simplex_tolerance!r}"
+            )
+        if not self.max_evaluations >= 1:
+            raise InvalidParameters(f"max_evaluations must be >= 1, got {self.max_evaluations!r}")
+        if not self.threads >= 1:
+            raise InvalidParameters(f"threads must be >= 1, got {self.threads!r}")
 
 
 @dataclass
@@ -137,12 +140,20 @@ def _entropy_profile(state: BipartiteState, basis: np.ndarray, side: str):
     return entropy_of_eigenvalues(probs), s_conditional, entropy_of_eigenvalues(spectra.ravel())
 
 
+def _side(side) -> str:
+    """``side`` as "A" or "B", case-insensitively; anything else raises InvalidParameters."""
+    side = str(side).upper()
+    if side not in ("A", "B"):
+        raise InvalidParameters(f"side must be 'A' or 'B', got {side!r}")
+    return side
+
+
 def _entropies(state: BipartiteState, side: str):
-    other = "B" if side == "A" else "A"
-    s_side = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal(side)))
-    s_other = entropy_of_eigenvalues(np.linalg.eigvalsh(state.marginal(other)))
-    s_ab = entropy_of_eigenvalues(np.linalg.eigvalsh(state.rho))
-    return s_side, s_other, s_ab
+    """(S(rho_side), S(rho_other), S(rho_AB))."""
+    e = state_entropies(state)
+    if side == "A":
+        return e.s_a, e.s_b, e.s_ab
+    return e.s_b, e.s_a, e.s_ab
 
 
 def discord_d1_at(state: BipartiteState, m: ProjectiveMeasurement) -> MeasuredDiscord:
@@ -203,9 +214,7 @@ def optimize_discord(
     measure = str(measure).upper()
     if measure not in ("D1", "D2"):
         raise InvalidParameters(f"optimize_discord handles D1 or D2, got {measure!r}")
-    side = str(side).upper()
-    if side not in ("A", "B"):
-        raise InvalidParameters(f"side must be 'A' or 'B', got {side!r}")
+    side = _side(side)
     if config is None:
         config = OptimizerConfig()
 
@@ -289,9 +298,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
     flag the degeneracy, and ``restricted_infimum`` brackets the value from
     below over a 50-restart search of bases diagonalizing the marginal.
     """
-    side = str(side).upper()
-    if side not in ("A", "B"):
-        raise InvalidParameters(f"side must be 'A' or 'B', got {side!r}")
+    side = _side(side)
     system = eig(state.marginal(side))
     basis = np.array(system.eigenvectors)
     s_side = entropy_of_eigenvalues(system.eigenvalues)
@@ -317,11 +324,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
         d = basis.shape[0]
 
         def restricted_objective(params: np.ndarray) -> float:
-            rotation = np.eye(d, dtype=complex)
-            k = 0
-            for p, q in planes:
-                rotation = rotation @ _givens(d, p, q, params[k], params[k + 1])
-                k += 2
+            rotation = _givens_product(params, d, planes)
             _, _, s_cond = _conditional_entropy(state, basis @ rotation, side)
             return s_side + s_cond - s_ab
 
@@ -401,9 +404,7 @@ def classify_zero_discord(state: BipartiteState, side: str = "A") -> ZeroDiscord
     A decisive quantity within a factor of 10 of its tolerance yields
     AMBIGUOUS rather than a verdict.
     """
-    side = str(side).upper()
-    if side not in ("A", "B"):
-        raise InvalidParameters(f"side must be 'A' or 'B', got {side!r}")
+    side = _side(side)
     marginal = state.marginal(side)
     if side == "A":
         lifted = np.kron(marginal, np.eye(state.d_b))

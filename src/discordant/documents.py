@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .exceptions import DocumentError
+from .exceptions import DiscordantError, DocumentError
 from .states import (
     BipartiteState,
-    PureStateEnsemble,
     bell_mixture,
     classical_classical_state,
     example_state,
@@ -31,24 +30,6 @@ from .states import (
     teahouse_ensemble,
     zero_discord_state,
 )
-
-FAMILIES = (
-    "example_state",
-    "bell_mixture",
-    "teahouse_ensemble",
-    "classical_classical",
-    "zero_discord",
-    "random",
-)
-
-FAMILY_PARAMETERS = {
-    "example_state": "b, c (floats; b^2 + c^2 <= 1 for positivity)",
-    "bell_mixture": "a (mixing probability in [0, 1])",
-    "teahouse_ensemble": "weights (9 probabilities; default equal)",
-    "classical_classical": "weights (d_A x d_B probability matrix)",
-    "zero_discord": "p (probabilities), basis_a (complex vectors), sigmas_b (density matrices)",
-    "random": "dims ([d_A, d_B]), rank (default full), seed (default 0)",
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +76,55 @@ def _complex_vector(entries, where: str) -> np.ndarray:
 
 
 def _pair_matrix(matrix: np.ndarray) -> list:
+    """Rows of ``[re, im]`` pairs, the inverse of _complex_matrix."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+def _zero_discord(p: dict) -> BipartiteState:
+    basis = [_complex_vector(v, "zero_discord.basis_a") for v in p["basis_a"]]
+    sigmas = [_complex_matrix(s, "zero_discord.sigmas_b") for s in p["sigmas_b"]]
+    return zero_discord_state(p["p"], np.array(basis), sigmas)
+
+
+def _random(p: dict) -> BipartiteState:
+    dims = p["dims"]
+    return random_state((int(dims[0]), int(dims[1])), rank=p.get("rank"), seed=int(p.get("seed", 0)))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named state family: its parameters and the constructor they feed."""
+
+    summary: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    build: Callable[[dict], BipartiteState]
+
+
+FAMILIES = {
+    "example_state": Family(
+        "b, c (floats; b^2 + c^2 <= 1 for positivity)", ("b", "c"), (),
+        lambda p: example_state(float(p["b"]), float(p["c"])),
+    ),
+    "bell_mixture": Family(
+        "a (mixing probability in [0, 1])", ("a",), (), lambda p: bell_mixture(float(p["a"])),
+    ),
+    "teahouse_ensemble": Family(
+        "weights (9 probabilities; default equal)", (), ("weights",),
+        lambda p: teahouse_ensemble(p.get("weights")).density_matrix(),
+    ),
+    "classical_classical": Family(
+        "weights (d_A x d_B probability matrix)", ("weights",), (),
+        lambda p: classical_classical_state(np.asarray(p["weights"], dtype=float)),
+    ),
+    "zero_discord": Family(
+        "p (probabilities), basis_a (complex vectors), sigmas_b (density matrices)",
+        ("p", "basis_a", "sigmas_b"), (), _zero_discord,
+    ),
+    "random": Family(
+        "dims ([d_A, d_B]), rank (default full), seed (default 0)", ("dims",), ("rank", "seed"), _random,
+    ),
+}
 
 
 def parse_document(obj) -> StateDocument:
@@ -115,7 +144,7 @@ def parse_document(obj) -> StateDocument:
         if not isinstance(block, dict) or "name" not in block:
             raise DocumentError("'family' must be an object with a 'name'")
         name = block["name"]
-        if name not in FAMILIES:
+        if not isinstance(name, str) or name not in FAMILIES:
             raise DocumentError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
         parameters = block.get("parameters", {})
         if not isinstance(parameters, dict):
@@ -163,52 +192,21 @@ def dumps_document(doc: StateDocument) -> str:
     return json.dumps(document_to_object(doc), indent=2, sort_keys=True)
 
 
-_FAMILY_KEYS = {
-    "example_state": {"b", "c"},
-    "bell_mixture": {"a"},
-    "teahouse_ensemble": {"weights"},
-    "classical_classical": {"weights"},
-    "zero_discord": {"p", "basis_a", "sigmas_b"},
-    "random": {"dims", "rank", "seed"},
-}
-
-
-def _require(parameters: dict, name: str, *keys: str) -> None:
-    missing = [key for key in keys if key not in parameters]
-    if missing:
-        raise DocumentError(f"family {name!r} is missing parameters: {missing}")
-
-
 def _family_state(name: str, parameters: dict) -> BipartiteState:
-    unknown = set(parameters) - _FAMILY_KEYS[name]
+    family = FAMILIES[name]
+    unknown = set(parameters) - set(family.required) - set(family.optional)
     if unknown:
         raise DocumentError(f"unknown parameters for family {name!r}: {sorted(unknown)}")
-    p = parameters
+    missing = [key for key in family.required if key not in parameters]
+    if missing:
+        raise DocumentError(f"family {name!r} is missing parameters: {missing}")
     try:
-        if name == "example_state":
-            _require(p, name, "b", "c")
-            return example_state(float(p["b"]), float(p["c"]))
-        if name == "bell_mixture":
-            _require(p, name, "a")
-            return bell_mixture(float(p["a"]))
-        if name == "teahouse_ensemble":
-            return teahouse_ensemble(p.get("weights")).density_matrix()
-        if name == "classical_classical":
-            _require(p, name, "weights")
-            return classical_classical_state(np.asarray(p["weights"], dtype=float))
-        if name == "zero_discord":
-            _require(p, name, "p", "basis_a", "sigmas_b")
-            basis = [_complex_vector(v, "zero_discord.basis_a") for v in p["basis_a"]]
-            sigmas = [_complex_matrix(s, "zero_discord.sigmas_b") for s in p["sigmas_b"]]
-            return zero_discord_state(p["p"], np.array(basis), sigmas)
-        _require(p, name, "dims")
-        dims = p["dims"]
-        return random_state(
-            (int(dims[0]), int(dims[1])),
-            rank=p.get("rank"),
-            seed=int(p.get("seed", 0)),
-        )
-    except (TypeError, IndexError) as error:
+        return family.build(parameters)
+    except DiscordantError:
+        raise
+    except (TypeError, IndexError, ValueError, OverflowError) as error:
+        # A parameter of the wrong type or value (a string, a nan seed, a
+        # ragged list) fails in a float() or int() conversion or in numpy.
         raise DocumentError(f"malformed parameters for family {name!r}: {error}") from error
 
 
@@ -222,7 +220,3 @@ def document_to_state(doc: StateDocument) -> BipartiteState:
 def state_to_document(state: BipartiteState) -> StateDocument:
     """Explicit-form document for any state."""
     return StateDocument(dims=state.dims, matrix=np.array(state.rho))
-
-
-def ensemble_to_state(ensemble: PureStateEnsemble) -> BipartiteState:
-    return ensemble.density_matrix()

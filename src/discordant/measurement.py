@@ -29,6 +29,18 @@ COMPLETENESS_TOL = 1e-10
 OUTCOME_CLIP = 1e-12
 
 
+def _complete_basis(basis) -> np.ndarray:
+    """``basis`` as a complex array, raising IncompleteBasis unless it is a
+    square matrix with orthonormal columns within 1e-10."""
+    u = np.asarray(basis, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
+    gram = u.conj().T @ u
+    if np.max(np.abs(gram - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
+        raise IncompleteBasis("projector family does not resolve the identity")
+    return u
+
+
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
     """Complete family of rank-1 orthogonal projectors on one subsystem.
@@ -44,13 +56,7 @@ class ProjectiveMeasurement:
         side = str(self.subsystem).upper()
         if side not in ("A", "B"):
             raise DimensionMismatch(f"subsystem must be 'A' or 'B', got {self.subsystem!r}")
-        u = np.asarray(self.basis, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
-        gram = u.conj().T @ u
-        if np.max(np.abs(gram - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
-            raise IncompleteBasis("projector family does not resolve the identity")
-        u = u.copy()
+        u = _complete_basis(self.basis).copy()
         u.flags.writeable = False
         object.__setattr__(self, "subsystem", side)
         object.__setattr__(self, "basis", u)
@@ -83,7 +89,13 @@ def basis_from_parameters(params, d: int) -> np.ndarray:
     x = np.asarray(params, dtype=float).ravel()
     if x.size != d * (d - 1):
         raise BadParameterCount(f"need {d * (d - 1)} angles for dimension {d}, got {x.size}")
-    rotations = [_givens(d, p, q, x[2 * k], x[2 * k + 1]) for k, (p, q) in enumerate(_planes(d))]
+    return _givens_product(x, d, _planes(d))
+
+
+def _givens_product(params, d: int, planes) -> np.ndarray:
+    """Product of the rotations G(p, q, params[2k], params[2k + 1]) over the
+    k-th plane (p, q) of ``planes``, in order; the identity for no planes."""
+    rotations = [_givens(d, p, q, params[2 * k], params[2 * k + 1]) for k, (p, q) in enumerate(planes)]
     if not rotations:
         return np.eye(d, dtype=complex)
     # A lone rotation (d = 2) has -0.0 entries at zero phase; adding 0.0 maps
@@ -100,11 +112,10 @@ def parameters_for_basis(basis) -> np.ndarray:
     """Chart angles reproducing the projector family of the given orthonormal basis.
 
     Runs the Givens elimination in plane order; the residue is a diagonal phase
-    matrix, which projectors are blind to.
+    matrix, which projectors are blind to. A basis that is not square with
+    orthonormal columns raises IncompleteBasis.
     """
-    u = np.asarray(basis, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
+    u = _complete_basis(basis)
     d = u.shape[0]
     w = u.copy()
     angles: list[float] = []
@@ -178,12 +189,7 @@ def post_measurement_state(state: BipartiteState, m: ProjectiveMeasurement) -> B
 
 def dephase(rho, basis) -> np.ndarray:
     """Remove off-diagonal terms of ``rho`` in the given complete basis."""
-    u = np.asarray(basis, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
-    gram = u.conj().T @ u
-    if np.max(np.abs(gram - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
-        raise IncompleteBasis("dephasing basis is incomplete")
+    u = _complete_basis(basis)
     m = np.asarray(rho, dtype=complex)
     if m.shape != u.shape:
         raise DimensionMismatch(f"operator shape {m.shape} does not match basis {u.shape}")

@@ -14,7 +14,7 @@ from .exceptions import (
     NonOrthogonalBasis,
     NotDensityMatrix,
 )
-from .operator_core import PSD_FLOOR, require_hermitian
+from .operator_core import PSD_FLOOR, partial_trace, require_hermitian
 
 TRACE_TOL = 1e-10
 
@@ -70,12 +70,7 @@ class BipartiteState:
 
     def marginal(self, side: str) -> np.ndarray:
         """Reduced density matrix of subsystem "A" or "B"."""
-        r = self.rho.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-        if str(side).upper() == "A":
-            return np.einsum("ibjb->ij", r)
-        if str(side).upper() == "B":
-            return np.einsum("aiaj->ij", r)
-        raise DimensionMismatch(f"side must be 'A' or 'B', got {side!r}")
+        return partial_trace(self.rho, self.dims, keep=side)
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
@@ -184,8 +179,6 @@ def teahouse_ensemble(weights=None) -> PureStateEnsemble:
     w = np.asarray(weights, dtype=float)
     if w.shape != (9,):
         raise BadWeights(f"expected 9 weights, got shape {w.shape}")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > TRACE_TOL:
-        raise BadWeights("weights must be nonnegative and sum to 1")
     vectors = teahouse_vectors()
     gram = vectors @ vectors.conj().T
     if np.max(np.abs(gram - np.eye(9))) > 1e-12:

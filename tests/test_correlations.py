@@ -21,6 +21,7 @@ from discordant import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from discordant.correlations import entropy_of_eigenvalues, state_entropies
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
@@ -41,12 +42,41 @@ def random_joint(rng, shape):
     return w / w.sum()
 
 
+class TestStateEntropies:
+    def test_spectra_and_entropies_of_the_marginals(self):
+        state = random_state((3, 2), seed=4)
+        e = state_entropies(state)
+        for spectrum, matrix, entropy in (
+            (e.spectrum_a, state.marginal("A"), e.s_a),
+            (e.spectrum_b, state.marginal("B"), e.s_b),
+            (e.spectrum_ab, state.rho, e.s_ab),
+        ):
+            assert np.array_equal(spectrum, np.linalg.eigvalsh(matrix))
+            assert entropy == entropy_of_eigenvalues(spectrum)
+        assert mutual_information(state) == e.s_a + e.s_b - e.s_ab
+
+
 class TestShannon:
     def test_fair_coin(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
 
     def test_deterministic(self):
         assert shannon_entropy([1.0, 0.0]) == 0.0
+
+    def test_pure_spectrum_is_positive_zero(self):
+        for value in (
+            entropy_of_eigenvalues([1.0]),
+            shannon_entropy([1.0, 0.0]),
+            von_neumann_entropy(np.diag([0.0, 1.0])),
+        ):
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+    def test_nonzero_entropy_is_the_negated_sum(self):
+        rng = np.random.default_rng(8)
+        for size in range(2, 9):
+            v = rng.random(size)
+            v /= v.sum()
+            assert entropy_of_eigenvalues(v) == float(-np.sum(v * np.log2(v)))
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):

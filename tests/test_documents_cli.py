@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from discordant import (
     state_to_document,
 )
 from discordant.cli import main
+from discordant.documents import FAMILIES
 from discordant.states import bell_mixture, example_state
 
 FIXTURE_DOCUMENTS = [
@@ -218,6 +220,37 @@ class TestCliBasics:
         assert report["discord"]["d1"]["value"] == 0.0
         assert report["discord"]["d1"]["diagnostics"]["converged"]
 
+    def test_pure_marginal_entropy_prints_positive_zero(self, tmp_path):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(
+            {"explicit": {"dims": [1, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}}
+        ))
+        result = invoke("analyze", "--input", str(path), "--json")
+        assert result.exit_code == 0
+        assert re.search(r"-0\.0\b", result.output) is None
+        assert json.loads(result.output)["entropies"]["s_a"] == 0.0
+
+    @pytest.mark.parametrize("command", [
+        ("classify", "--family", "bell_mixture", "--param", "a=x"),
+        ("classify", "--family", "random", "--param", "dims=[2,2]", "--param", "seed=NaN"),
+        ("states", "emit", "bell_mixture", "--param", "a=x", "--explicit"),
+        ("states", "emit", "random", "--param", "dims=[2,2]", "--param", "seed=NaN", "--explicit"),
+    ])
+    def test_non_numeric_family_parameter_exit_2(self, command):
+        result = invoke(*command)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output + result.stderr
+
+    @pytest.mark.parametrize("option", [
+        ("--restarts", "0"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--threads", "0"),
+    ])
+    def test_bad_optimizer_option_exit_2(self, option):
+        result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", *option)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output + result.stderr
+
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -291,22 +324,31 @@ class TestCliBasics:
     def test_states_list_and_emit_round_trip(self, tmp_path):
         listing = invoke("states", "list")
         assert listing.exit_code == 0
-        for family in ("example_state", "bell_mixture", "random"):
-            assert family in listing.output
+        fixtures = {doc["family"]["name"]: doc for doc in FIXTURE_DOCUMENTS if "family" in doc}
+        assert set(fixtures) == set(FAMILIES)
+        for family, fixture in fixtures.items():
+            assert f"{family:<22} {FAMILIES[family].summary}" in listing.output
+            params = []
+            for key, value in fixture["family"]["parameters"].items():
+                params += ["--param", f"{key}={json.dumps(value)}"]
+            out = tmp_path / f"{family}.json"
+            emitted = invoke("states", "emit", family, *params, "-o", str(out))
+            assert emitted.exit_code == 0
+            assert json.loads(out.read_text()) == fixture
 
-        out = tmp_path / "doc.json"
-        emitted = invoke(
-            "states", "emit", "bell_mixture", "--param", "a=0.25", "-o", str(out)
+            explicit = invoke("states", "emit", family, *params, "--explicit")
+            assert explicit.exit_code == 0
+            document = json.loads(explicit.output)
+            assert "explicit" in document
+            np.testing.assert_array_equal(
+                document_to_state(parse_document(document)).rho,
+                document_to_state(parse_document(fixture)).rho,
+            )
+
+        analyzed = invoke(
+            "analyze", "--input", str(tmp_path / "bell_mixture.json"), "--restarts", "4", "--json"
         )
-        assert emitted.exit_code == 0
-        analyzed = invoke("analyze", "--input", str(out), "--restarts", "4", "--json")
         assert analyzed.exit_code == 0
-
-        explicit = invoke("states", "emit", "example_state", "--param", "b=0.5",
-                          "--param", "c=0.5", "--explicit")
-        assert explicit.exit_code == 0
-        document = json.loads(explicit.output)
-        assert "explicit" in document
 
     def test_env_variable_precedence(self):
         env = {"DISCORDANT_RESTARTS": "3", "DISCORDANT_SEED": "11"}

@@ -75,6 +75,10 @@ class TestChart:
         with pytest.raises(BadParameterCount):
             from_parameters(np.zeros(3), 2)
 
+    def test_parameters_for_basis_rejects_an_incomplete_basis(self):
+        with pytest.raises(IncompleteBasis):
+            parameters_for_basis(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
     def test_parameters_for_basis_roundtrip(self):
         rng = np.random.default_rng(23)
         for d in (2, 3, 4):
