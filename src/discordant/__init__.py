@@ -12,14 +12,10 @@ from .correlations import (
     StateEntropies,
     cerf_adami_conditional_entropy,
     cerf_adami_operator,
-    classical_conditional_entropy,
-    classical_mutual_information,
-    classical_mutual_information_j,
     conditional_entropy_after_measurement,
     information_function,
     mutual_information,
     one_way_purification_rate,
-    shannon_entropy,
     state_entropies,
     von_neumann_entropy,
 )
@@ -36,7 +32,6 @@ from .discord import (
     discord_d2_at,
     discord_d3,
     discord_d3_symmetric,
-    one_way_deficit,
     optimize_discord,
 )
 from .documents import (
@@ -59,13 +54,11 @@ from .exceptions import (
     NonHermitian,
     NonOrthogonalBasis,
     NotDensityMatrix,
-    NotNormalized,
     NotPositiveSemidefinite,
     SupportMismatch,
 )
 from .measurement import (
     ProjectiveMeasurement,
-    conditional_state,
     dephase,
     from_parameters,
     parameters_for_basis,
@@ -75,10 +68,8 @@ from .operator_core import (
     EigenSystem,
     commutator_norm,
     eig,
-    matrix_exp,
     matrix_log_on_support,
     partial_trace,
-    tensor,
 )
 from .states import (
     BipartiteState,

@@ -1,11 +1,14 @@
 """Command-line front end: analyze states, classify discord, reproduce tables.
 
 Exit codes: 0 success (and ZERO for classify), 1 NONZERO (classify), 2 parse
-error (a malformed document or family parameter, or an optimizer option out of
-range), 3 validation error, 4 AMBIGUOUS (classify). Optimizer settings resolve
-as flags > environment (DISCORDANT_SEED, DISCORDANT_RESTARTS,
-DISCORDANT_THREADS) > defaults. The restart thread pool defaults to one
-thread; results do not depend on the thread count.
+error (a malformed document or family parameter, an --input file that cannot be
+read or is not UTF-8, an -o file that cannot be written, or an optimizer option
+out of range, such as a negative seed), 3 validation error (an invalid state,
+a kT that is not positive and finite, or a table1 parameter out of range),
+4 AMBIGUOUS (classify). Optimizer settings resolve as flags > environment
+(DISCORDANT_SEED, DISCORDANT_RESTARTS, DISCORDANT_THREADS) > defaults. The
+restart thread pool defaults to one thread; results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _guarded_load(input_path, family, params) -> tuple[BipartiteState, StateDocu
     try:
         document = _resolve_document(input_path, family, params)
         return document_to_state(document), document
-    except (DocumentError, OSError) as error:
+    except (DocumentError, OSError, UnicodeDecodeError) as error:
         _fail(error, EXIT_PARSE)
     except DiscordantError as error:
         _fail(error, EXIT_VALIDATION)
@@ -459,7 +462,10 @@ def table1(seed, restarts, tol, threads, params, as_json):
     except (TypeError, ValueError) as error:
         _fail(error, EXIT_PARSE)
     config = _make_config(seed, restarts, tol, threads)
-    rows = _table1_rows(a, config)
+    try:
+        rows = _table1_rows(a, config)
+    except DiscordantError as error:
+        _fail(error, EXIT_VALIDATION)
     if as_json:
         _echo_json({
             "rows": rows,
@@ -507,8 +513,11 @@ def states_emit(family, params, explicit, output):
     except DiscordantError as error:
         _fail(error, EXIT_VALIDATION)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as error:
+            _fail(error, EXIT_PARSE)
     else:
         click.echo(text)
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import NotNormalized, SupportMismatch
+from .exceptions import SupportMismatch
 from .measurement import (
     OUTCOME_CLIP,
     ProjectiveMeasurement,
@@ -19,60 +19,18 @@ from .measurement import (
 from .operator_core import SUPPORT_CLIP, matrix_log_on_support, require_hermitian
 from .states import BipartiteState, validate_density_matrix
 
-_NORMALIZATION_TOL = 1e-9
 
-
-def entropy_of_eigenvalues(values, clip: float = SUPPORT_CLIP) -> float:
-    """-sum(v log2 v) over entries above ``clip``; no validation.
+def entropy_of_eigenvalues(values) -> float:
+    """-sum(v log2 v) over entries above SUPPORT_CLIP (1e-12); no validation.
 
     A pure spectrum gives +0.0: the sum there is 0.0, and negating it would
     give -0.0.
     """
     v = np.asarray(values, dtype=float).ravel()
-    v = v[v > clip]
+    v = v[v > SUPPORT_CLIP]
     if v.size == 0:
         return 0.0
     return 0.0 - float(np.sum(v * np.log2(v)))
-
-
-def _as_distribution(p, what: str = "probability vector") -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1e-12):
-        raise NotNormalized(f"{what} has negative entries")
-    if abs(arr.sum() - 1.0) > _NORMALIZATION_TOL:
-        raise NotNormalized(f"{what} sums to {arr.sum():.12f}, not 1")
-    return np.maximum(arr, 0.0)
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy in bits of a probability vector, with 0 log 0 = 0."""
-    return entropy_of_eigenvalues(_as_distribution(p))
-
-
-def classical_conditional_entropy(joint, given: str = "B") -> float:
-    """H(A|B) (or H(B|A) with given="A") of a joint probability matrix p[a, b]."""
-    w = _as_distribution(joint, "joint distribution")
-    if w.ndim != 2:
-        raise NotNormalized(f"joint distribution must be 2-D, got shape {w.shape}")
-    axis = 0 if str(given).upper() == "B" else 1
-    marginal = w.sum(axis=axis)
-    return entropy_of_eigenvalues(w.ravel()) - entropy_of_eigenvalues(marginal)
-
-
-def classical_mutual_information(joint) -> float:
-    """I(A:B) = H(A) + H(B) - H(A,B) of a joint probability matrix."""
-    w = _as_distribution(joint, "joint distribution")
-    if w.ndim != 2:
-        raise NotNormalized(f"joint distribution must be 2-D, got shape {w.shape}")
-    h_a = entropy_of_eigenvalues(w.sum(axis=1))
-    h_b = entropy_of_eigenvalues(w.sum(axis=0))
-    return h_a + h_b - entropy_of_eigenvalues(w.ravel())
-
-
-def classical_mutual_information_j(joint) -> float:
-    """J(A:B) = H(A) - H(A|B); equals classical_mutual_information for any joint."""
-    w = _as_distribution(joint, "joint distribution")
-    return entropy_of_eigenvalues(w.sum(axis=1)) - classical_conditional_entropy(w, given="B")
 
 
 def von_neumann_entropy(rho) -> float:

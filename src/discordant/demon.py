@@ -40,8 +40,8 @@ class WorkLedger:
 
 def work_single(rho, kt: float = 1.0) -> float:
     """Optimal average work kT (log2 d - S(rho)) from a single known state."""
-    if kt <= 0:
-        raise InvalidParameters(f"kT must be positive, got {kt}")
+    if not 0 < kt < float("inf"):
+        raise InvalidParameters(f"kT must be positive and finite, got {kt}")
     m = np.asarray(rho, dtype=complex)
     entropy = von_neumann_entropy(m)
     return kt * (float(np.log2(m.shape[0])) - entropy)
@@ -66,8 +66,8 @@ def work_ledger(
     another measure, or a D2 report measured on side B, raises
     InvalidParameters. The cross-checks apply to passed reports too.
     """
-    if kt <= 0:
-        raise InvalidParameters(f"kT must be positive, got {kt}")
+    if not 0 < kt < float("inf"):
+        raise InvalidParameters(f"kT must be positive and finite, got {kt}")
     if d2_report is not None and (
         d2_report.measure != "D2" or d2_report.optimal_measurement.subsystem != "A"
     ):

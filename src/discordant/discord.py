@@ -56,7 +56,6 @@ class OptimizerConfig:
     """Multistart simplex settings; identical configs give identical results."""
 
     restarts: int = 20
-    include_eigenbasis_seed: bool = True
     simplex_tolerance: float = 1e-9
     max_evaluations: int = 5000
     seed: int = 0
@@ -72,6 +71,8 @@ class OptimizerConfig:
             )
         if not self.max_evaluations >= 1:
             raise InvalidParameters(f"max_evaluations must be >= 1, got {self.max_evaluations!r}")
+        if not self.seed >= 0:
+            raise InvalidParameters(f"seed must be >= 0, got {self.seed!r}")
         if not self.threads >= 1:
             raise InvalidParameters(f"threads must be >= 1, got {self.threads!r}")
 
@@ -200,8 +201,8 @@ def optimize_discord(
     """Minimize D1 or D2 over all rank-1 projective measurements on one side.
 
     Multistart Nelder-Mead over the Givens-angle chart: ``config.restarts``
-    seeded random starting points plus (by default) the eigenbasis of the
-    measured marginal. Deterministic for a fixed config; ties between restarts
+    seeded random starting points plus the eigenbasis of the measured
+    marginal. Deterministic for a fixed config; ties between restarts
     (within 1e-10) resolve to the lowest restart index.
 
     ``converged`` means that a simplex reaching the best value stopped within
@@ -249,11 +250,9 @@ def optimize_discord(
         results = [OptimizeResult(x=lone, fun=objective(lone), success=True, nfev=1)]
     else:
         rng = np.random.default_rng(config.seed)
-        starts: list[np.ndarray] = []
-        if config.include_eigenbasis_seed:
-            starts.append(parameters_for_basis(eig(state.marginal(side)).eigenvectors))
+        starts = [parameters_for_basis(eig(state.marginal(side)).eigenvectors)]
         starts.extend(_random_start(rng, n_params) for _ in range(config.restarts))
-        if config.threads > 1 and len(starts) > 1:
+        if config.threads > 1:
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(run, starts))
         else:
@@ -466,8 +465,3 @@ def bell_mixture_discord_closed_form(a: float) -> float:
     if 0.0 < a < 1.0:
         entropy = float(-a * np.log2(a) - (1 - a) * np.log2(1 - a))
     return 1.0 - entropy
-
-
-def one_way_deficit(state: BipartiteState, side: str = "A", config: OptimizerConfig | None = None) -> float:
-    """Minimal total-entropy production over one-sided measurements (equals D2)."""
-    return optimize_discord("D2", state, side=side, config=config).value

@@ -21,10 +21,6 @@ class NotDensityMatrix(DiscordantError):
     """Matrix fails the density-matrix invariants (trace, positivity)."""
 
 
-class NotNormalized(DiscordantError):
-    """Probability data is negative or does not sum to one."""
-
-
 class InvalidParameters(DiscordantError):
     """Constructor parameters produce an invalid object."""
 

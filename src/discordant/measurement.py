@@ -155,22 +155,6 @@ def _check_dims(state: BipartiteState, m: ProjectiveMeasurement) -> None:
         )
 
 
-def conditional_state(state: BipartiteState, m: ProjectiveMeasurement, outcome: int):
-    """Outcome probability and the renormalized conditional state of the other side.
-
-    Returns ``(p, rho_cond)``; when the outcome probability is at or below
-    1e-12 the conditional state is reported as ``None`` rather than fabricated.
-    """
-    _check_dims(state, m)
-    if not 0 <= int(outcome) < m.d:
-        raise DimensionMismatch(f"outcome {outcome} out of range for dimension {m.d}")
-    block = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)[int(outcome)]
-    p = float(np.trace(block).real)
-    if p <= OUTCOME_CLIP:
-        return p, None
-    return p, block / p
-
-
 def post_measurement_state(state: BipartiteState, m: ProjectiveMeasurement) -> BipartiteState:
     """State after the measurement outcome is averaged over (dephasing on one side).
 

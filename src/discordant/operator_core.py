@@ -1,7 +1,7 @@
-"""Dense Hermitian-operator algebra: eigensystems, matrix functions, tensor calculus.
+"""Dense Hermitian-operator algebra: eigensystems, the matrix logarithm, partial traces.
 
-All matrix logarithms and exponentials are base 2, so every entropy and work
-quantity downstream comes out in bits.
+All matrix logarithms are base 2, so every entropy and work quantity
+downstream comes out in bits.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ SUPPORT_CLIP = 1e-12
 DEGENERACY_GAP = 1e-8
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(matrix) -> np.ndarray:
     """Return ``matrix`` as a complex array, raising NonHermitian if it is not square
-    Hermitian within ``tol`` (max-abs deviation from the conjugate transpose).
+    Hermitian within 1e-12 (max-abs deviation from the conjugate transpose).
 
     A non-finite entry also raises NonHermitian: the deviation test alone
     would pass it, since comparisons with nan are false.
@@ -31,8 +31,8 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonHermitian("matrix has non-finite entries")
     deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if deviation > tol:
-        raise NonHermitian(f"Hermiticity deviation {deviation:.3e} exceeds {tol:.1e}")
+    if deviation > HERMITICITY_TOL:
+        raise NonHermitian(f"Hermiticity deviation {deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
 
 
@@ -42,7 +42,7 @@ class EigenSystem:
 
     eigenvalues are ascending; eigenvectors are the matching orthonormal columns;
     degeneracy_groups partitions the indices into runs whose adjacent eigenvalues
-    differ by less than the gap threshold.
+    differ by less than DEGENERACY_GAP.
     """
 
     eigenvalues: np.ndarray
@@ -67,17 +67,17 @@ def _lexicographic_key(column: np.ndarray) -> tuple:
     return tuple((round(float(z.real), 9), round(float(z.imag), 9)) for z in column)
 
 
-def _degeneracy_groups(values: np.ndarray, gap: float) -> tuple[tuple[int, ...], ...]:
+def _degeneracy_groups(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
     groups: list[list[int]] = [[0]]
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] < gap:
+        if values[i] - values[i - 1] < DEGENERACY_GAP:
             groups[-1].append(i)
         else:
             groups.append([i])
     return tuple(tuple(g) for g in groups)
 
 
-def eig(matrix, gap: float = DEGENERACY_GAP) -> EigenSystem:
+def eig(matrix) -> EigenSystem:
     """Eigendecompose a Hermitian matrix with a deterministic output convention.
 
     Eigenvalues ascend; each eigenvector's first significant component is made
@@ -88,7 +88,7 @@ def eig(matrix, gap: float = DEGENERACY_GAP) -> EigenSystem:
     values, vectors = np.linalg.eigh(m)
     for k in range(vectors.shape[1]):
         vectors[:, k] = _fix_phase(vectors[:, k])
-    groups = _degeneracy_groups(values, gap)
+    groups = _degeneracy_groups(values)
     order = np.arange(len(values))
     for group in groups:
         if len(group) > 1:
@@ -99,7 +99,7 @@ def eig(matrix, gap: float = DEGENERACY_GAP) -> EigenSystem:
     vectors = vectors[:, order]
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return EigenSystem(values, vectors, _degeneracy_groups(values, gap))
+    return EigenSystem(values, vectors, _degeneracy_groups(values))
 
 
 def matrix_log_on_support(matrix, clip: float = SUPPORT_CLIP) -> np.ndarray:
@@ -116,19 +116,6 @@ def matrix_log_on_support(matrix, clip: float = SUPPORT_CLIP) -> np.ndarray:
     logs = np.where(values > clip, np.log2(np.maximum(values, clip)), 0.0)
     out = (vectors * logs) @ vectors.conj().T
     return (out + out.conj().T) / 2
-
-
-def matrix_exp(matrix) -> np.ndarray:
-    """Base-2 spectral exponential (the inverse of matrix_log_on_support on full rank)."""
-    m = require_hermitian(matrix)
-    values, vectors = np.linalg.eigh(m)
-    out = (vectors * np.exp2(values)) @ vectors.conj().T
-    return (out + out.conj().T) / 2
-
-
-def tensor(x, y) -> np.ndarray:
-    """Kronecker product (operator on the composite space)."""
-    return np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
 
 
 def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -17,6 +17,9 @@ from .exceptions import (
 from .operator_core import PSD_FLOOR, partial_trace, require_hermitian
 
 TRACE_TOL = 1e-10
+# Largest d_A * d_B that random_state draws: its Ginibre matrix holds
+# (d_A d_B)^2 complex entries, 16 MB at this cap.
+MAX_RANDOM_DIM = 1024
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -74,12 +77,6 @@ class BipartiteState:
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
-
-    def swapped(self) -> "BipartiteState":
-        """The same state with the two subsystems exchanged."""
-        r = self.rho.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-        swapped = r.transpose(1, 0, 3, 2).reshape(self.dim, self.dim)
-        return BipartiteState((self.d_b, self.d_a), swapped)
 
 
 @dataclass(frozen=True)
@@ -229,9 +226,14 @@ def classical_classical_state(w) -> BipartiteState:
 
 def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) -> BipartiteState:
     """Seeded random state: partial trace of a Haar-random pure state over a
-    rank-dimensional ancilla (Ginibre construction). Deterministic per seed."""
+    rank-dimensional ancilla (Ginibre construction). Deterministic per seed.
+
+    A d_A * d_B above MAX_RANDOM_DIM raises InvalidParameters before the draw.
+    """
     d_a, d_b = int(dims[0]), int(dims[1])
     dim = d_a * d_b
+    if dim > MAX_RANDOM_DIM:
+        raise InvalidParameters(f"d_A * d_B = {dim} exceeds the cap of {MAX_RANDOM_DIM}")
     if rank is None:
         rank = dim
     rank = int(rank)

@@ -30,6 +30,12 @@ def state_entropy(rho) -> float:
     return entropy_bits(np.linalg.eigvalsh(rho))
 
 
+def shannon_mutual_information(joint) -> float:
+    """H(A) + H(B) - H(A, B) of a joint probability matrix p[a, b]."""
+    w = np.asarray(joint, dtype=float)
+    return entropy_bits(w.sum(axis=1)) + entropy_bits(w.sum(axis=0)) - entropy_bits(w)
+
+
 def loop_partial_trace(matrix, dims, keep: str) -> np.ndarray:
     d_a, d_b = dims
     m = np.asarray(matrix, dtype=complex)

@@ -3,14 +3,10 @@ import pytest
 
 from discordant import (
     NotDensityMatrix,
-    NotNormalized,
     ProjectiveMeasurement,
     SupportMismatch,
     cerf_adami_conditional_entropy,
     cerf_adami_operator,
-    classical_conditional_entropy,
-    classical_mutual_information,
-    classical_mutual_information_j,
     conditional_entropy_after_measurement,
     discord_d1_at,
     from_parameters,
@@ -18,7 +14,6 @@ from discordant import (
     mutual_information,
     one_way_purification_rate,
     optimize_discord,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from discordant.correlations import entropy_of_eigenvalues, state_entropies
@@ -30,7 +25,7 @@ from discordant.states import (
     zero_discord_state,
 )
 
-from oracles import state_entropy
+from oracles import shannon_mutual_information, state_entropy
 
 H2_QUARTER = 0.8112781244591328
 S_AB_EXAMPLE = 1.600876036692856
@@ -58,15 +53,15 @@ class TestStateEntropies:
 
 class TestShannon:
     def test_fair_coin(self):
-        assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
+        assert entropy_of_eigenvalues([0.5, 0.5]) == pytest.approx(1.0)
 
     def test_deterministic(self):
-        assert shannon_entropy([1.0, 0.0]) == 0.0
+        assert entropy_of_eigenvalues([1.0, 0.0]) == 0.0
 
     def test_pure_spectrum_is_positive_zero(self):
         for value in (
             entropy_of_eigenvalues([1.0]),
-            shannon_entropy([1.0, 0.0]),
+            entropy_of_eigenvalues([1.0, 0.0]),
             von_neumann_entropy(np.diag([0.0, 1.0])),
         ):
             assert value == 0.0 and np.copysign(1.0, value) == 1.0
@@ -78,28 +73,19 @@ class TestShannon:
             v /= v.sum()
             assert entropy_of_eigenvalues(v) == float(-np.sum(v * np.log2(v)))
 
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            shannon_entropy([0.5, 0.4])
-        with pytest.raises(NotNormalized):
-            shannon_entropy([1.5, -0.5])
-
-    def test_classical_i_equals_j(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = random_joint(rng, (3, 4))
-            i_form = classical_mutual_information(w)
-            j_form = classical_mutual_information_j(w)
-            assert abs(i_form - j_form) <= 1e-12
-
     def test_conditional_entropy_weighted_average(self):
+        # For a classical-classical state, measuring A in the computational
+        # basis leaves B in the columns of w: S(B|A) = sum_a p_a H(w[a, :] / p_a).
         rng = np.random.default_rng(5)
         w = random_joint(rng, (2, 3))
         expected = 0.0
-        for b in range(3):
-            p_b = w[:, b].sum()
-            expected += p_b * shannon_entropy(w[:, b] / p_b)
-        assert classical_conditional_entropy(w, given="B") == pytest.approx(expected, abs=1e-12)
+        for a in range(2):
+            p_a = w[a, :].sum()
+            expected += p_a * entropy_of_eigenvalues(w[a, :] / p_a)
+        measured = conditional_entropy_after_measurement(
+            classical_classical_state(w), ProjectiveMeasurement("A", np.eye(2))
+        )
+        assert measured == pytest.approx(expected, abs=1e-12)
 
 
 class TestVonNeumann:
@@ -130,7 +116,7 @@ class TestMutualInformation:
         for _ in range(10):
             w = random_joint(rng, (2, 3))
             state = classical_classical_state(w)
-            assert abs(mutual_information(state) - classical_mutual_information(w)) <= 1e-10
+            assert abs(mutual_information(state) - shannon_mutual_information(w)) <= 1e-10
 
     def test_nonnegativity_floors(self):
         for seed in range(20):

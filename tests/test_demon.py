@@ -107,8 +107,11 @@ class TestWorkLedger:
             assert getattr(scaled, name) == 2.5 * getattr(unit, name)
 
     def test_rejects_bad_kt(self):
-        with pytest.raises(InvalidParameters):
-            work_ledger(bell_mixture(1.0), kt=-1.0)
+        for kt in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameters):
+                work_ledger(bell_mixture(1.0), kt=kt)
+            with pytest.raises(InvalidParameters):
+                work_single(np.eye(2) / 2, kt=kt)
 
     def test_w2_measurement_reported(self):
         ledger = work_ledger(example_state(0.5, 0.5), config=FAST)

@@ -10,18 +10,16 @@ from discordant import (
     ProjectiveMeasurement,
     bell_mixture_discord_closed_form,
     classify_zero_discord,
-    conditional_state,
     discord_d1_at,
     discord_d2_at,
     discord_d3,
     discord_d3_symmetric,
     from_parameters,
     mutual_information,
-    one_way_deficit,
     optimize_discord,
     post_measurement_state,
 )
-from discordant.measurement import basis_from_parameters
+from discordant.measurement import basis_from_parameters, conditional_blocks
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
@@ -48,7 +46,7 @@ FAST = OptimizerConfig(restarts=6, seed=1)
 
 
 def outcome_entropy(state, m):
-    probs = [conditional_state(state, m, k)[0] for k in range(m.d)]
+    probs = [np.trace(b).real for b in conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)]
     return float(-sum(p * np.log2(p) for p in probs if p > 1e-12))
 
 
@@ -302,18 +300,17 @@ class TestClosedFormAndDeficit:
 
     def test_one_way_deficit_is_d2(self):
         state = example_state(0.5, 0.5)
-        assert one_way_deficit(state, config=FAST) == pytest.approx(
-            optimize_discord("D2", state, config=FAST).value, abs=1e-12
-        )
+        report = optimize_discord("D2", state, config=FAST)
+        assert report.value == pytest.approx(discord_d2_at(state, report.optimal_measurement), abs=1e-12)
 
     def test_one_way_deficit_zero_discord(self):
-        assert one_way_deficit(random_zero_discord(9), config=FAST) == pytest.approx(
+        assert optimize_discord("D2", random_zero_discord(9), config=FAST).value == pytest.approx(
             0.0, abs=1e-7
         )
 
     def test_one_way_deficit_pure_state(self):
         state = random_state((2, 2), rank=1, seed=1900)
-        assert one_way_deficit(state, config=FAST) == pytest.approx(
+        assert optimize_discord("D2", state, config=FAST).value == pytest.approx(
             state_entropy(state.marginal("A")), abs=1e-6
         )
 

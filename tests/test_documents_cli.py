@@ -244,12 +244,20 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("option", [
         ("--restarts", "0"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--threads", "0"),
+        ("--seed", "-1"),
     ])
     def test_bad_optimizer_option_exit_2(self, option):
         result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", *option)
         assert result.exit_code == 2
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.output + result.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "discord", "demon"])
+    def test_negative_seed_from_environment_exit_2(self, command):
+        result = invoke(command, "--family", "bell_mixture", "--param", "a=0.3",
+                        env={"DISCORDANT_SEED": "-1"})
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: seed must be >= 0")
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -258,6 +266,30 @@ class TestCliBasics:
         assert result.exit_code == 2
         both = invoke("analyze")
         assert both.exit_code == 2
+        not_utf8 = tmp_path / "latin.json"
+        not_utf8.write_bytes(b"\xff\xfe{")
+        result = invoke("classify", "--input", str(not_utf8))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("kt", ["nan", "inf", "0"])
+    def test_demon_kt_not_positive_and_finite_exit_3(self, kt):
+        result = invoke("demon", "--family", "bell_mixture", "--param", "a=0.3", "--kt", kt)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: kT must be positive and finite")
+        assert result.stdout == ""
+
+    def test_emit_to_unwritable_path_exit_2(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        result = invoke("states", "emit", "bell_mixture", "--param", "a=0.25", "-o", str(target))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert not target.exists()
+
+    def test_random_document_above_size_cap_exit_3(self):
+        result = invoke("classify", "--family", "random", "--param", "dims=[1025, 1]")
+        assert result.exit_code == 3
+        assert "exceeds the cap of 1024" in result.stderr
 
     def test_validation_error_exit_3(self):
         result = invoke("analyze", "--family", "example_state",
@@ -387,6 +419,12 @@ class TestTable1:
         payload = json.loads(result.output)
         expected = 1.0 + 0.3 * np.log2(0.3) + 0.7 * np.log2(0.7)
         assert payload["rows"][2]["d1_a"] == pytest.approx(expected, abs=1e-4)
+
+    @pytest.mark.parametrize("a", ["2", "nan"])
+    def test_row3_parameter_out_of_range_exit_3(self, a):
+        result = invoke("table1", "--restarts", "1", "--param", f"a={a}")
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: mixing probability must lie in [0, 1]")
 
     def test_human_output_marks_citation(self):
         result = invoke("table1", "--restarts", "4")

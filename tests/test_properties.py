@@ -4,6 +4,7 @@ code without a traceback."""
 
 import json
 import math
+import re
 
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -61,3 +62,45 @@ def test_classify_exits_with_a_documented_code(document):
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert 0 <= result.exit_code <= 4
     assert "Traceback" not in result.output + result.stderr
+
+
+def _assert_documented_exit(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert 0 <= result.exit_code <= 4
+    assert "Traceback" not in result.output + result.stderr
+    if result.exit_code == 0:
+        assert re.search(r"\b(nan|inf)\b", result.output, re.IGNORECASE) is None, result.output
+
+
+# Option values as the shell passes them: numbers in any notation, the
+# non-finite spellings, and short strings.
+OPTION_TEXT = st.one_of(
+    NUMBERS.map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0x10"]),
+    st.text(max_size=3),
+)
+# The first state has a non-degenerate A marginal and one restart, so each
+# valid draw costs two short searches.
+CHEAP = ["--family", "example_state", "--param", "b=0.5", "--param", "c=0.5", "--restarts", "1"]
+
+
+@FUZZ
+@given(OPTION_TEXT)
+def test_demon_kt_exits_with_a_documented_code(kt):
+    _assert_documented_exit(["demon", *CHEAP, "--kt", kt])
+
+
+@settings(FUZZ, max_examples=50)
+@given(st.one_of(OPTION_TEXT, VALUES.map(json.dumps)))
+def test_table1_parameter_exits_with_a_documented_code(a):
+    _assert_documented_exit(["table1", "--restarts", "1", "--param", f"a={a}"])
+
+
+@FUZZ
+@given(
+    st.one_of(OPTION_TEXT, st.integers(-(2**70), 2**70).map(str)),
+    st.sampled_from(["discord", "demon", "analyze"]),
+)
+def test_seed_exits_with_a_documented_code(seed, command):
+    _assert_documented_exit([command, *CHEAP, "--seed", seed])

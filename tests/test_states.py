@@ -15,7 +15,6 @@ from discordant import (
     random_state,
     teahouse_ensemble,
     teahouse_vectors,
-    tensor,
     zero_discord_state,
 )
 
@@ -33,13 +32,6 @@ class TestBipartiteState:
         state = example_state(0.3, 0.2)
         with pytest.raises(ValueError):
             state.rho[0, 0] = 9.0
-
-    def test_swapped(self):
-        state = random_state((2, 3), seed=4)
-        swapped = state.swapped()
-        assert swapped.dims == (3, 2)
-        np.testing.assert_allclose(swapped.marginal("A"), state.marginal("B"), atol=1e-14)
-        np.testing.assert_allclose(swapped.swapped().rho, state.rho, atol=1e-14)
 
 
 class TestExampleState:
@@ -101,7 +93,7 @@ class TestTeahouse:
         weights = np.full(9, 1 / 11)
         weights[6] = weights[8] = 2 / 11  # psi7 and psi9 in the printed order
         state = teahouse_ensemble(weights).density_matrix()
-        lifted = tensor(state.marginal("A"), np.eye(3))
+        lifted = np.kron(state.marginal("A"), np.eye(3))
         assert commutator_norm(lifted, state.rho) > 1e-3
 
     def test_bad_weights(self):
@@ -131,7 +123,7 @@ class TestZeroDiscordState:
         for _ in range(20):
             sigmas = [random_state((2, 1), seed=rng.integers(1 << 30)).rho for _ in range(2)]
             state = zero_discord_state([0.3, 0.7], np.eye(2), sigmas)
-            lifted = tensor(state.marginal("A"), np.eye(2))
+            lifted = np.kron(state.marginal("A"), np.eye(2))
             assert commutator_norm(lifted, state.rho) <= 1e-10
 
     def test_non_orthogonal_basis(self):
@@ -173,3 +165,8 @@ class TestRandomState:
     def test_bad_rank(self):
         with pytest.raises(BadRank):
             random_state((2, 2), rank=5, seed=0)
+
+    def test_size_cap(self):
+        assert random_state((32, 32), rank=1).dims == (32, 32)
+        with pytest.raises(InvalidParameters, match="exceeds the cap"):
+            random_state((1025, 1))
