@@ -4,11 +4,13 @@ Exit codes: 0 success (and ZERO for classify), 1 NONZERO (classify), 2 parse
 error (a malformed document or family parameter, an --input file that cannot be
 read or is not UTF-8, an -o file that cannot be written, or an optimizer option
 out of range, such as a negative seed), 3 validation error (an invalid state,
-a kT that is not positive and finite, or a table1 parameter out of range),
+a random family value that is not integral, a kT that is not positive and
+finite or whose work values overflow, or a table1 parameter out of range),
 4 AMBIGUOUS (classify). Optimizer settings resolve as flags > environment
 (DISCORDANT_SEED, DISCORDANT_RESTARTS, DISCORDANT_THREADS) > defaults. The
 restart thread pool defaults to one thread; results do not depend on the
-thread count.
+thread count. --json writes the library's report dataclasses as they are,
+with measurement bases as rows of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .correlations import (
 )
 from .demon import WorkLedger, work_ledger
 from .discord import (
-    DiscordReport,
     OptimizerConfig,
-    ZeroDiscordVerdict,
     _entropy_profile,
     classify_zero_discord,
     bell_mixture_discord_closed_form,
@@ -51,7 +51,6 @@ from .documents import (
     state_to_document,
 )
 from .exceptions import DiscordantError, DocumentError, InvalidParameters
-from .measurement import ProjectiveMeasurement
 from .states import BipartiteState, bell_mixture, classical_classical_state, teahouse_ensemble
 
 EXIT_NONZERO = 1
@@ -144,34 +143,6 @@ def _make_config(seed, restarts, tol, threads) -> OptimizerConfig:
         _fail(error, EXIT_PARSE)
 
 
-def _measurement_payload(m: ProjectiveMeasurement | None):
-    if m is None:
-        return None
-    return {"subsystem": m.subsystem, "basis": _pair_matrix(m.basis)}
-
-
-def _report_payload(report: DiscordReport) -> dict:
-    diagnostics = asdict(report.diagnostics)
-    diagnostics["best_per_restart"] = list(diagnostics["best_per_restart"])
-    return {
-        "measure": report.measure,
-        "value": report.value,
-        "j_value": report.j_value,
-        "optimal_measurement": _measurement_payload(report.optimal_measurement),
-        "diagnostics": diagnostics,
-    }
-
-
-def _verdict_payload(verdict: ZeroDiscordVerdict) -> dict:
-    return {
-        "verdict": verdict.verdict,
-        "commutator_norm": verdict.commutator_norm,
-        "residual_discord": verdict.residual_discord,
-        "method": verdict.method,
-        "witness": _measurement_payload(verdict.witness),
-    }
-
-
 def _ledger_payload(ledger: WorkLedger) -> dict:
     return {
         "kT": ledger.kt,
@@ -182,7 +153,7 @@ def _ledger_payload(ledger: WorkLedger) -> dict:
         "delta_L": ledger.delta_l,
         "delta_2": ledger.delta_2,
         "delta_3": ledger.delta_3,
-        "measurement_w2": _measurement_payload(ledger.measurement_w2),
+        "measurement_w2": asdict(ledger.d2.optimal_measurement),
     }
 
 
@@ -191,14 +162,14 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
     entropies = state_entropies(state)
 
     d1 = optimize_discord("D1", state, side="A", config=config)
-    d2 = optimize_discord("D2", state, side="A", config=config)
     d3 = discord_d3(state, side="A")
     d3sym = discord_d3_symmetric(state)
     verdicts = {
         "A": classify_zero_discord(state, "A"),
         "B": classify_zero_discord(state, "B"),
     }
-    ledger = work_ledger(state, kt=1.0, config=config, d2_report=d2, d3_report=d3)
+    ledger = work_ledger(state, kt=1.0, config=config)
+    d2 = ledger.d2
 
     warnings: list[str] = []
 
@@ -251,12 +222,12 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
             "mutual_information": entropies.mutual_information,
         },
         "discord": {
-            "d1": _report_payload(d1),
-            "d2": _report_payload(d2),
-            "d3": _report_payload(d3),
-            "d3sym": _report_payload(d3sym),
+            "d1": asdict(d1),
+            "d2": asdict(d2),
+            "d3": asdict(d3),
+            "d3sym": asdict(d3sym),
         },
-        "classification": {side: _verdict_payload(v) for side, v in verdicts.items()},
+        "classification": {side: asdict(v) for side, v in verdicts.items()},
         "demon": _ledger_payload(ledger),
         "identities": identities,
         "notes": notes,
@@ -274,9 +245,9 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
 
 def _echo_json(payload) -> None:
     # Wall-clock fields are stripped so identical seeds and flags give
-    # byte-identical output.
+    # byte-identical output; measurement bases print as [re, im] pairs.
     cleaned = {k: v for k, v in payload.items() if not k.startswith("_")} if isinstance(payload, dict) else payload
-    click.echo(json.dumps(cleaned, indent=2, sort_keys=True))
+    click.echo(json.dumps(cleaned, indent=2, sort_keys=True, default=_pair_matrix))
 
 
 def _fmt(x: float) -> str:
@@ -348,7 +319,7 @@ def classify(input_path, family, params, side, as_json):
     state, _ = _guarded_load(input_path, family, params)
     verdict = classify_zero_discord(state, side.upper())
     if as_json:
-        _echo_json(_verdict_payload(verdict))
+        _echo_json(asdict(verdict))
     else:
         residual = "n/a" if verdict.residual_discord is None else f"{verdict.residual_discord:.6e}"
         click.echo(
@@ -381,7 +352,7 @@ def discord_command(input_path, family, params, seed, restarts, tol, threads, me
     else:
         report = discord_d3_symmetric(state)
     if as_json:
-        _echo_json(_report_payload(report))
+        _echo_json(asdict(report))
     else:
         click.echo(f"{report.measure} = {_fmt(report.value)} bits (J = {_fmt(report.j_value)})")
         if report.diagnostics.degenerate_marginal:

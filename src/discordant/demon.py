@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import conditional_entropy_after_measurement, state_entropies, von_neumann_entropy
-from .discord import DiscordReport, OptimizerConfig, discord_d3, optimize_discord
+from .discord import DiscordReport, OptimizerConfig, discord_d1_at, optimize_discord
 from .exceptions import DiscordantError, InvalidParameters
 from .measurement import ProjectiveMeasurement, post_measurement_state
 from .operator_core import eig
@@ -25,7 +25,9 @@ _CROSS_CHECK_TOL = 1e-7
 
 @dataclass
 class WorkLedger:
-    """Extractable work for the four scenarios and their differences, in kT units."""
+    """Extractable work for the four scenarios and their differences, in kT
+    units, with the D2 search behind w2 and delta_2 (``d2``, in bits, not
+    scaled by kT)."""
 
     kt: float
     w_plus: float
@@ -35,7 +37,7 @@ class WorkLedger:
     delta_l: float
     delta_2: float
     delta_3: float
-    measurement_w2: ProjectiveMeasurement
+    d2: DiscordReport
 
 
 def work_single(rho, kt: float = 1.0) -> float:
@@ -48,32 +50,19 @@ def work_single(rho, kt: float = 1.0) -> float:
 
 
 def work_ledger(
-    state: BipartiteState,
-    kt: float = 1.0,
-    config: OptimizerConfig | None = None,
-    d2_report: DiscordReport | None = None,
-    d3_report: DiscordReport | None = None,
+    state: BipartiteState, kt: float = 1.0, config: OptimizerConfig | None = None
 ) -> WorkLedger:
     """Work accounting for all four scenarios on a bipartite state.
 
-    The entropy-production differences are computed along the work path and
-    cross-checked against the discord measures; the two paths must agree to
-    1e-7. Scaling kT scales every field exactly.
-
-    ``d2_report`` (from ``optimize_discord("D2", state, "A", config)``) and
-    ``d3_report`` (from ``discord_d3(state, "A")``) are used in place of
-    running those again when given; ``config`` then goes unused. A report of
-    another measure, or a D2 report measured on side B, raises
-    InvalidParameters. The cross-checks apply to passed reports too.
+    Runs one D2 search, ``optimize_discord("D2", state, "A", config)``, for
+    w2. The entropy-production differences are computed along the work path
+    and cross-checked against the discord measures (D3 as D1 at the
+    marginal's eigenbasis); the two paths must agree to 1e-7. Scaling kT
+    scales every field exactly; a kT whose product with the work is not
+    finite raises InvalidParameters.
     """
     if not 0 < kt < float("inf"):
         raise InvalidParameters(f"kT must be positive and finite, got {kt}")
-    if d2_report is not None and (
-        d2_report.measure != "D2" or d2_report.optimal_measurement.subsystem != "A"
-    ):
-        raise InvalidParameters("d2_report must be a D2 report measured on side A")
-    if d3_report is not None and d3_report.measure != "D3":
-        raise InvalidParameters(f"d3_report must be a D3 report, got {d3_report.measure}")
     d_a, d_b = state.dims
     log_dim = float(np.log2(d_a * d_b))
     entropies = state_entropies(state)
@@ -82,18 +71,12 @@ def work_ledger(
     w_plus = log_dim - s_ab
     w_local = log_dim - s_a - s_b
 
-    if d2_report is None:
-        d2_report = optimize_discord("D2", state, side="A", config=config)
-    measurement = d2_report.optimal_measurement
-    s_post = von_neumann_entropy(post_measurement_state(state, measurement).rho)
+    d2 = optimize_discord("D2", state, side="A", config=config)
+    s_post = von_neumann_entropy(post_measurement_state(state, d2.optimal_measurement).rho)
     w2 = log_dim - s_post
 
-    if d3_report is None:
-        d3_report = discord_d3(state, side="A")
-    star_basis = eig(state.marginal("A")).eigenvectors
-    s_cond_star = conditional_entropy_after_measurement(
-        state, ProjectiveMeasurement("A", star_basis)
-    )
+    star = ProjectiveMeasurement("A", eig(state.marginal("A")).eigenvectors)
+    s_cond_star = conditional_entropy_after_measurement(state, star)
     w3 = (float(np.log2(d_a)) - s_a) + (float(np.log2(d_b)) - s_cond_star)
 
     delta_l = w_plus - w_local
@@ -102,22 +85,15 @@ def work_ledger(
 
     for label, direct, via_discord in (
         ("mutual information", delta_l, entropies.mutual_information),
-        ("one-way deficit", delta_2, d2_report.value),
-        ("eigenbasis discord", delta_3, d3_report.value),
+        ("one-way deficit", delta_2, d2.value),
+        ("eigenbasis discord", delta_3, discord_d1_at(state, star).value),
     ):
         if abs(direct - via_discord) > _CROSS_CHECK_TOL:
             raise DiscordantError(
                 f"work difference disagrees with {label}: {direct!r} vs {via_discord!r}"
             )
 
-    return WorkLedger(
-        kt=kt,
-        w_plus=kt * w_plus,
-        w_local=kt * w_local,
-        w2=kt * w2,
-        w3=kt * w3,
-        delta_l=kt * delta_l,
-        delta_2=kt * delta_2,
-        delta_3=kt * delta_3,
-        measurement_w2=measurement,
-    )
+    scaled = [kt * w for w in (w_plus, w_local, w2, w3, delta_l, delta_2, delta_3)]
+    if not np.all(np.isfinite(scaled)):
+        raise InvalidParameters(f"kT = {kt!r} makes the work values overflow")
+    return WorkLedger(kt, *scaled, d2=d2)

@@ -50,6 +50,9 @@ METHOD_COMMUTATOR = "COMMUTATOR"
 METHOD_EIGENBASIS = "EIGENBASIS"
 METHOD_EIGENSTRUCTURE = "EIGENSTRUCTURE"
 
+# Function-evaluation cap of each simplex in the measurement search.
+MAX_EVALUATIONS = 5000
+
 
 @dataclass
 class OptimizerConfig:
@@ -57,7 +60,6 @@ class OptimizerConfig:
 
     restarts: int = 20
     simplex_tolerance: float = 1e-9
-    max_evaluations: int = 5000
     seed: int = 0
     threads: int = 1
 
@@ -69,8 +71,6 @@ class OptimizerConfig:
             raise InvalidParameters(
                 f"simplex_tolerance must be positive and finite, got {self.simplex_tolerance!r}"
             )
-        if not self.max_evaluations >= 1:
-            raise InvalidParameters(f"max_evaluations must be >= 1, got {self.max_evaluations!r}")
         if not self.seed >= 0:
             raise InvalidParameters(f"seed must be >= 0, got {self.seed!r}")
         if not self.threads >= 1:
@@ -185,6 +185,16 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     return value
 
 
+def _nelder_mead(objective, start: np.ndarray, tolerance: float, cap: int) -> OptimizeResult:
+    """One Nelder-Mead simplex from ``start``, stopped at ``cap`` evaluations."""
+    return minimize(
+        objective,
+        start,
+        method="Nelder-Mead",
+        options=dict(fatol=tolerance, xatol=1e-6, maxfev=cap, maxiter=cap),
+    )
+
+
 def _random_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
     x = np.empty(n_params)
     x[0::2] = rng.uniform(0.0, np.pi, n_params // 2)
@@ -230,17 +240,7 @@ def optimize_discord(
         return entropy_of_eigenvalues(probs) + s_conditional + constant
 
     def run(start: np.ndarray):
-        return minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options=dict(
-                fatol=config.simplex_tolerance,
-                xatol=1e-6,
-                maxfev=config.max_evaluations,
-                maxiter=config.max_evaluations,
-            ),
-        )
+        return _nelder_mead(objective, start, config.simplex_tolerance, MAX_EVALUATIONS)
 
     n_params = d * (d - 1)
     if n_params == 0:
@@ -330,13 +330,8 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
         rng = np.random.default_rng(0)
         best = value
         for _ in range(50):
-            result = minimize(
-                restricted_objective,
-                _random_start(rng, 2 * len(planes)),
-                method="Nelder-Mead",
-                options=dict(fatol=1e-9, xatol=1e-6, maxfev=2000, maxiter=2000),
-            )
-            best = min(best, float(result.fun))
+            start = _random_start(rng, 2 * len(planes))
+            best = min(best, float(_nelder_mead(restricted_objective, start, 1e-9, 2000).fun))
         diagnostics.restricted_infimum = best
     return DiscordReport("D3", float(value), float(j_value), None, diagnostics)
 
@@ -427,19 +422,14 @@ def classify_zero_discord(state: BipartiteState, side: str = "A") -> ZeroDiscord
         normality = max(commutator_norm(x, x.conj().T) for x in blocks)
         structure_norm = max(block_commutator, normality)
         blocks_clean = structure_norm <= COMMUTATOR_TOL
-        if structure_norm > COMMUTATOR_TOL * AMBIGUITY_FACTOR:
-            # Blocks decisively fail to commute; quantify with the residual at
-            # the best-effort common basis (any basis upper-bounds the discord).
-            witness_basis = _simultaneous_eigenbasis(blocks, marginal.shape[0])
-            if witness_basis is None:
-                witness_basis = np.array(system.eigenvectors)
-            residual = discord_d1_at(state, ProjectiveMeasurement(side, witness_basis)).value
-            if residual > RESIDUAL_TOL * AMBIGUITY_FACTOR:
-                return ZeroDiscordVerdict(VERDICT_NONZERO, c_norm, residual, method)
-            return ZeroDiscordVerdict(VERDICT_AMBIGUOUS, c_norm, residual, method)
         witness_basis = _simultaneous_eigenbasis(blocks, marginal.shape[0])
         if witness_basis is None:
-            return ZeroDiscordVerdict(VERDICT_AMBIGUOUS, c_norm, None, method)
+            if structure_norm <= COMMUTATOR_TOL * AMBIGUITY_FACTOR:
+                return ZeroDiscordVerdict(VERDICT_AMBIGUOUS, c_norm, None, method)
+            # Blocks decisively fail to commute: any basis upper-bounds the
+            # discord, so the residual at the marginal's eigenbasis can still
+            # prove it nonzero. Unclean blocks never give ZERO below.
+            witness_basis = np.array(system.eigenvectors)
 
     measurement = ProjectiveMeasurement(side, witness_basis)
     residual = discord_d1_at(state, measurement).value

@@ -87,8 +87,7 @@ def _zero_discord(p: dict) -> BipartiteState:
 
 
 def _random(p: dict) -> BipartiteState:
-    dims = p["dims"]
-    return random_state((int(dims[0]), int(dims[1])), rank=p.get("rank"), seed=int(p.get("seed", 0)))
+    return random_state(p["dims"], rank=p.get("rank"), seed=p.get("seed", 0))
 
 
 @dataclass(frozen=True)

@@ -224,22 +224,30 @@ def classical_classical_state(w) -> BipartiteState:
     return BipartiteState((w.shape[0], w.shape[1]), rho)
 
 
+def _integral(value, name: str, error: type[Exception] = InvalidParameters) -> int:
+    """``value`` as an int; an int() that changes the value raises ``error``."""
+    as_int = int(value)
+    if as_int != value:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) -> BipartiteState:
     """Seeded random state: partial trace of a Haar-random pure state over a
     rank-dimensional ancilla (Ginibre construction). Deterministic per seed.
 
     A d_A * d_B above MAX_RANDOM_DIM raises InvalidParameters before the draw.
+    Integral floats such as 3.0 are accepted; a dimension, rank or seed that
+    is not integral raises InvalidParameters (BadRank for the rank).
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _integral(dims[0], "d_A"), _integral(dims[1], "d_B")
     dim = d_a * d_b
     if dim > MAX_RANDOM_DIM:
         raise InvalidParameters(f"d_A * d_B = {dim} exceeds the cap of {MAX_RANDOM_DIM}")
-    if rank is None:
-        rank = dim
-    rank = int(rank)
+    rank = dim if rank is None else _integral(rank, "rank", BadRank)
     if not 1 <= rank <= dim:
         raise BadRank(f"rank must lie in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integral(seed, "seed"))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real

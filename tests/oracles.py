@@ -109,3 +109,46 @@ def grid_d1_oracle(rho, n_theta: int = 200, n_phi: int = 400, zoom_rounds: int =
         theta_step /= 10
         phi_step /= 10
     return best
+
+
+def haar_bases(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random d x d unitaries (QR of complex Ginibre matrices with the
+    phases of R's diagonal moved into Q), shape (n, d, d)."""
+    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def measured_values(rho, dims, side: str, measure: str, bases) -> np.ndarray:
+    """D1 or D2 of rho at each measurement basis (columns) on ``side``.
+
+    D2 is the entropy of the post-measurement state minus S(rho_AB), and D1
+    replaces the outcome entropy H(p) in it by S(rho_side).
+    """
+    d_a, d_b = dims
+    rho = np.asarray(rho, dtype=complex)
+    rho4 = rho.reshape(d_a, d_b, d_a, d_b)
+    if side == "A":
+        blocks = np.einsum("nak,aibj,nbk->nkij", bases.conj(), rho4, bases)
+    else:
+        blocks = np.einsum("nik,aibj,njk->nkab", bases.conj(), rho4, bases)
+    probs = np.einsum("nkii->nk", blocks).real
+    spectra = np.linalg.eigvalsh(blocks).reshape(len(bases), -1)
+
+    def eta_sums(values):
+        return np.where(values > CLIP, -values * np.log2(np.maximum(values, CLIP)), 0.0).sum(axis=1)
+
+    s_ab = state_entropy(rho)
+    s_post = eta_sums(spectra)
+    if measure == "D2":
+        return s_post - s_ab
+    s_side = state_entropy(loop_partial_trace(rho, dims, side))
+    return s_side + s_post - eta_sums(probs) - s_ab
+
+
+def random_basis_bound(rho, dims, side: str, measure: str, n: int = 4096, seed: int = 0) -> float:
+    """Smallest D1 or D2 over n Haar-random bases: an upper bound on the minimum."""
+    d = dims[0] if side == "A" else dims[1]
+    bases = haar_bases(n, d, np.random.default_rng(seed))
+    return float(np.min(measured_values(rho, dims, side, measure, bases)))

@@ -1,3 +1,5 @@
+import inspect
+
 import discordant
 
 # Every name here computes a quantity of the paper or is used by the CLI,
@@ -39,4 +41,12 @@ def test_public_surface_is_pinned():
 
 def test_optimizer_config_fields():
     fields = list(discordant.OptimizerConfig.__dataclass_fields__)
-    assert fields == ["restarts", "simplex_tolerance", "max_evaluations", "seed", "threads"]
+    assert fields == ["restarts", "simplex_tolerance", "seed", "threads"]
+
+
+def test_work_ledger_fields():
+    fields = list(discordant.WorkLedger.__dataclass_fields__)
+    assert fields == [
+        "kt", "w_plus", "w_local", "w2", "w3", "delta_l", "delta_2", "delta_3", "d2",
+    ]
+    assert list(inspect.signature(discordant.work_ledger).parameters) == ["state", "kt", "config"]

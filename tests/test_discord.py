@@ -29,6 +29,7 @@ from discordant.states import (
     zero_discord_state,
 )
 
+import oracles
 from oracles import grid_d1_oracle, state_entropy
 
 # Frozen reference values for example_state(0.5, 0.5), computed from the exact
@@ -371,6 +372,31 @@ class TestProperties:
             if gap > 1e-6:
                 d1 = optimize_discord("D1", state, config=FAST).value
                 assert d1 < d2_report.value - 1e-7
+
+
+class TestOraclesBeyondQubits:
+    """Checks at measured dimension 3 and 4 against tests/oracles.py, which
+    does not use the package's own code paths."""
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 2), (2, 4), (4, 4)])
+    def test_pure_states_all_measures_equal_marginal_entropy(self, dims):
+        # D1 is constant on pure states; the D2 value tests the search.
+        state = random_state(dims, rank=1, seed=2700)
+        expected = oracles.state_entropy(oracles.loop_partial_trace(state.rho, dims, "A"))
+        config = OptimizerConfig(restarts=1, seed=0)
+        assert optimize_discord("D1", state, config=config).value == pytest.approx(expected, abs=1e-9)
+        assert optimize_discord("D2", state, config=config).value == pytest.approx(expected, abs=1e-9)
+        assert discord_d3(state).value == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 2)])
+    @pytest.mark.parametrize("measure", ["D1", "D2"])
+    def test_search_stays_below_random_basis_bound(self, dims, measure):
+        state = random_state(dims, seed=2800)
+        report = optimize_discord(measure, state, config=OptimizerConfig(restarts=2, seed=0))
+        basis = report.optimal_measurement.basis
+        at_basis = oracles.measured_values(state.rho, dims, "A", measure, basis[None])[0]
+        assert report.value == pytest.approx(at_basis, abs=1e-9)
+        assert report.value <= oracles.random_basis_bound(state.rho, dims, "A", measure)
 
 
 class TestClassifier:

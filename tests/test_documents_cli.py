@@ -178,23 +178,42 @@ class TestCliBasics:
         import discordant.cli as cli_module
         import discordant.demon as demon_module
 
+        # Each name is patched where it is bound: the CLI runs D1 and D3, and
+        # the ledger runs D2.
         searches = []
-        for module in (cli_module, demon_module):
-            for name in ("optimize_discord", "discord_d3"):
-                original = getattr(module, name)
+        for module, name in (
+            (cli_module, "optimize_discord"), (cli_module, "discord_d3"),
+            (demon_module, "optimize_discord"),
+        ):
+            original = getattr(module, name)
 
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    report = _original(*args, **kwargs)
-                    searches.append((_name, report.measure))
-                    return report
+            def counted(*args, _name=name, _original=original, **kwargs):
+                report = _original(*args, **kwargs)
+                searches.append((_name, report.measure))
+                return report
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         result = invoke("analyze", "--family", "example_state", "--param", "b=0.0",
                         "--param", "c=0.5", "--restarts", "2", "--json")
         assert result.exit_code == 0
         assert sorted(searches) == [
             ("discord_d3", "D3"), ("optimize_discord", "D1"), ("optimize_discord", "D2"),
         ]
+
+    @pytest.mark.parametrize("source", [
+        ("--family", "example_state", "--param", "b=0.5", "--param", "c=0.5"),
+        ("--family", "example_state", "--param", "b=0", "--param", "c=0.5"),
+        ("--family", "bell_mixture", "--param", "a=0.3"),
+    ], ids=["example", "degenerate_marginal", "bell_mixture"])
+    def test_analyze_demon_and_d2_match_their_commands(self, source):
+        flags = ["--restarts", "3", "--seed", "5", "--json"]
+        analyzed = invoke("analyze", *source, *flags)
+        demon = invoke("demon", *source, *flags)
+        d2 = invoke("discord", "--measure", "D2", *source, *flags)
+        assert analyzed.exit_code == demon.exit_code == d2.exit_code == 0
+        report = json.loads(analyzed.output)
+        assert report["demon"] == json.loads(demon.output)
+        assert report["discord"]["d2"] == json.loads(d2.output)
 
     @pytest.mark.parametrize("document", [
         {"family": {"name": "example_state", "parameters": {"b": float("nan"), "c": 0.5}}},
@@ -278,6 +297,30 @@ class TestCliBasics:
         assert result.exit_code == 3
         assert result.stderr.startswith("error: kT must be positive and finite")
         assert result.stdout == ""
+
+    def test_demon_kt_overflow_exit_3(self):
+        # kT is finite, but kT times the work is not.
+        result = invoke("demon", "--family", "bell_mixture", "--param", "a=1.0",
+                        "--restarts", "1", "--kt", "1e308", "--json")
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("param", ["dims=[2.5, 2]", "rank=2.5", "seed=1.5"])
+    def test_non_integral_random_parameter_exit_3(self, param):
+        params = {"dims": "dims=[2, 2]", param.partition("=")[0]: param}
+        args = [x for p in params.values() for x in ("--param", p)]
+        result = invoke("classify", "--family", "random", *args)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
+
+    def test_integral_float_random_parameters_still_work(self):
+        as_floats = invoke("classify", "--json", "--family", "random", "--param", "dims=[2.0, 3.0]",
+                           "--param", "rank=2.0", "--param", "seed=4.0")
+        as_ints = invoke("classify", "--json", "--family", "random", "--param", "dims=[2, 3]",
+                         "--param", "rank=2", "--param", "seed=4")
+        assert as_floats.exit_code == as_ints.exit_code
+        assert as_floats.output == as_ints.output
 
     def test_emit_to_unwritable_path_exit_2(self, tmp_path):
         target = tmp_path / "missing" / "x.json"

@@ -166,6 +166,14 @@ class TestRandomState:
         with pytest.raises(BadRank):
             random_state((2, 2), rank=5, seed=0)
 
+    def test_non_integral_values_raise(self):
+        with pytest.raises(InvalidParameters):
+            random_state((2.5, 2))
+        with pytest.raises(BadRank):
+            random_state((2, 2), rank=2.5)
+        with pytest.raises(InvalidParameters):
+            random_state((2, 2), seed=1.5)
+
     def test_size_cap(self):
         assert random_state((32, 32), rank=1).dims == (32, 32)
         with pytest.raises(InvalidParameters, match="exceeds the cap"):
