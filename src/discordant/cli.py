@@ -5,12 +5,12 @@ error (a malformed document or family parameter, an --input file that cannot be
 read or is not UTF-8, an -o file that cannot be written, or an optimizer option
 out of range, such as a negative seed), 3 validation error (an invalid state,
 a random family value that is not integral, a kT that is not positive and
-finite or whose work values overflow, or a table1 parameter out of range),
-4 AMBIGUOUS (classify). Optimizer settings resolve as flags > environment
-(DISCORDANT_SEED, DISCORDANT_RESTARTS, DISCORDANT_THREADS) > defaults. The
-restart thread pool defaults to one thread; results do not depend on the
-thread count. --json writes the library's report dataclasses as they are,
-with measurement bases as rows of [re, im] pairs.
+finite or whose work values overflow, a table1 parameter out of range, or any
+other library error raised after loading), 4 AMBIGUOUS (classify). One
+boundary, ``main``'s invoke, maps library errors to exit codes. Optimizer
+settings come from the --seed, --restarts and --tol flags only. --json writes
+the library's report dataclasses as they are, with measurement bases as rows
+of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .documents import (
     state_to_document,
 )
 from .exceptions import DiscordantError, DocumentError, InvalidParameters
-from .states import BipartiteState, bell_mixture, classical_classical_state, teahouse_ensemble
+from .states import BipartiteState, classical_classical_state, teahouse_ensemble
 
 EXIT_NONZERO = 1
 EXIT_PARSE = 2
@@ -96,32 +96,37 @@ def _fail(error: Exception, code: int):
     sys.exit(code)
 
 
-def _guarded_load(input_path, family, params) -> tuple[BipartiteState, StateDocument]:
-    try:
-        document = _resolve_document(input_path, family, params)
-        return document_to_state(document), document
-    except (DocumentError, OSError, UnicodeDecodeError) as error:
-        _fail(error, EXIT_PARSE)
-    except DiscordantError as error:
-        _fail(error, EXIT_VALIDATION)
+def _load(input_path, family, params) -> tuple[BipartiteState, StateDocument]:
+    document = _resolve_document(input_path, family, params)
+    return document_to_state(document), document
+
+
+class _Main(click.Group):
+    """Command group whose invoke is the one place library errors become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own handling of a closed stdout
+        except (DocumentError, OSError, UnicodeDecodeError) as error:
+            _fail(error, EXIT_PARSE)
+        except DiscordantError as error:
+            _fail(error, EXIT_VALIDATION)
 
 
 def optimizer_options(command):
     command = click.option(
-        "--seed", type=int, default=0, envvar="DISCORDANT_SEED", show_default=True,
+        "--seed", type=int, default=0, show_default=True,
         help="Seed for the optimizer restarts.",
     )(command)
     command = click.option(
-        "--restarts", type=int, default=20, envvar="DISCORDANT_RESTARTS", show_default=True,
+        "--restarts", type=int, default=20, show_default=True,
         help="Random restarts (the eigenbasis seed is added on top).",
     )(command)
     command = click.option(
         "--tol", type=float, default=1e-9, show_default=True,
         help="Simplex value tolerance.",
-    )(command)
-    command = click.option(
-        "--threads", type=int, default=1, envvar="DISCORDANT_THREADS", show_default=True,
-        help="Optimizer restart threads; results do not depend on the count.",
     )(command)
     return command
 
@@ -136,9 +141,10 @@ def input_options(command):
     return command
 
 
-def _make_config(seed, restarts, tol, threads) -> OptimizerConfig:
+def _make_config(seed, restarts, tol) -> OptimizerConfig:
+    # A bad option is a parse error, not a validation error.
     try:
-        return OptimizerConfig(restarts=restarts, simplex_tolerance=tol, seed=seed, threads=threads)
+        return OptimizerConfig(restarts=restarts, simplex_tolerance=tol, seed=seed)
     except InvalidParameters as error:
         _fail(error, EXIT_PARSE)
 
@@ -243,10 +249,10 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
     return report
 
 
-def _echo_json(payload) -> None:
+def _echo_json(payload: dict) -> None:
     # Wall-clock fields are stripped so identical seeds and flags give
     # byte-identical output; measurement bases print as [re, im] pairs.
-    cleaned = {k: v for k, v in payload.items() if not k.startswith("_")} if isinstance(payload, dict) else payload
+    cleaned = {k: v for k, v in payload.items() if not k.startswith("_")}
     click.echo(json.dumps(cleaned, indent=2, sort_keys=True, default=_pair_matrix))
 
 
@@ -289,7 +295,7 @@ def _render_analysis(report: dict) -> None:
     click.echo(f"elapsed: {report['_timing_seconds']:.2f} s")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Correlation and discord analysis for bipartite quantum states."""
 
@@ -298,10 +304,10 @@ def main() -> None:
 @input_options
 @optimizer_options
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def analyze(input_path, family, params, seed, restarts, tol, threads, as_json):
+def analyze(input_path, family, params, seed, restarts, tol, as_json):
     """Full report: entropies, discords, classification, work ledger."""
-    state, document = _guarded_load(input_path, family, params)
-    config = _make_config(seed, restarts, tol, threads)
+    state, document = _load(input_path, family, params)
+    config = _make_config(seed, restarts, tol)
     report = _analysis_report(state, document, config)
     if as_json:
         _echo_json(report)
@@ -316,7 +322,7 @@ def analyze(input_path, family, params, seed, restarts, tol, threads, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 def classify(input_path, family, params, side, as_json):
     """Zero-discord test; exit 0 ZERO, 1 NONZERO, 4 AMBIGUOUS."""
-    state, _ = _guarded_load(input_path, family, params)
+    state, _ = _load(input_path, family, params)
     verdict = classify_zero_discord(state, side.upper())
     if as_json:
         _echo_json(asdict(verdict))
@@ -340,10 +346,10 @@ def classify(input_path, family, params, side, as_json):
 @click.option("--side", type=click.Choice(["A", "B"], case_sensitive=False), default="A",
               show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def discord_command(input_path, family, params, seed, restarts, tol, threads, measure, side, as_json):
+def discord_command(input_path, family, params, seed, restarts, tol, measure, side, as_json):
     """Single discord measure with optimizer diagnostics."""
-    state, _ = _guarded_load(input_path, family, params)
-    config = _make_config(seed, restarts, tol, threads)
+    state, _ = _load(input_path, family, params)
+    config = _make_config(seed, restarts, tol)
     measure = measure.upper()
     if measure in ("D1", "D2"):
         report = optimize_discord(measure, state, side=side.upper(), config=config)
@@ -368,14 +374,11 @@ def discord_command(input_path, family, params, seed, restarts, tol, threads, me
 @optimizer_options
 @click.option("--kt", type=float, default=1.0, show_default=True, help="Energy unit kT.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def demon(input_path, family, params, seed, restarts, tol, threads, kt, as_json):
+def demon(input_path, family, params, seed, restarts, tol, kt, as_json):
     """Work-extraction ledger for the four engine scenarios."""
-    state, _ = _guarded_load(input_path, family, params)
-    config = _make_config(seed, restarts, tol, threads)
-    try:
-        ledger = work_ledger(state, kt=kt, config=config)
-    except DiscordantError as error:
-        _fail(error, EXIT_VALIDATION)
+    state, _ = _load(input_path, family, params)
+    config = _make_config(seed, restarts, tol)
+    ledger = work_ledger(state, kt=kt, config=config)
     if as_json:
         _echo_json(_ledger_payload(ledger))
     else:
@@ -388,7 +391,7 @@ def demon(input_path, family, params, seed, restarts, tol, threads, kt, as_json)
         )
 
 
-def _table1_rows(a: float, config: OptimizerConfig) -> list[dict]:
+def _table1_rows(bell: BipartiteState, a: float, config: OptimizerConfig) -> list[dict]:
     doubled = np.full(9, 1 / 11)
     doubled[6] = doubled[8] = 2 / 11
     table = [
@@ -396,7 +399,7 @@ def _table1_rows(a: float, config: OptimizerConfig) -> list[dict]:
         ("9 teahouse states, equal weights", teahouse_ensemble().density_matrix(), True, "no", []),
         ("2 product bi-orthogonal states", classical_classical_state(np.diag([0.5, 0.5])), True, "yes", []),
         (
-            f"2 entangled orthogonal states (Bell mixture, a={a})", bell_mixture(a), False, "yes",
+            f"2 entangled orthogonal states (Bell mixture, a={a})", bell, False, "yes",
             [f"closed form 1 - H2(a) = {bell_mixture_discord_closed_form(a)!r}", CLOSED_FORM_NOTE],
         ),
         (
@@ -420,23 +423,14 @@ def _table1_rows(a: float, config: OptimizerConfig) -> list[dict]:
 @optimizer_options
 @click.option("--param", "params", multiple=True, help="Row parameter, e.g. a=0.3.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def table1(seed, restarts, tol, threads, params, as_json):
+def table1(seed, restarts, tol, params, as_json):
     """Local measurability vs. discord: recompute the discord column.
 
     The locally-measurable column is cited from prior literature, not computed.
     """
-    try:
-        parameters = dict(_parse_param(pair) for pair in params)
-        a = float(parameters.pop("a", 0.25))
-        if parameters:
-            raise DocumentError(f"unknown table parameters: {sorted(parameters)}")
-    except (TypeError, ValueError) as error:
-        _fail(error, EXIT_PARSE)
-    config = _make_config(seed, restarts, tol, threads)
-    try:
-        rows = _table1_rows(a, config)
-    except DiscordantError as error:
-        _fail(error, EXIT_VALIDATION)
+    config = _make_config(seed, restarts, tol)
+    bell, document = _load(None, "bell_mixture", ("a=0.25",) + params)
+    rows = _table1_rows(bell, float(document.parameters["a"]), config)
     if as_json:
         _echo_json({
             "rows": rows,
@@ -474,21 +468,13 @@ def states_list() -> None:
 @click.option("-o", "--output", type=str, default=None, help="Write to a file instead of stdout.")
 def states_emit(family, params, explicit, output):
     """Emit a state document for FAMILY."""
-    try:
-        document = _resolve_document(None, family, params)
-        if explicit:
-            document = state_to_document(document_to_state(document))
-        text = dumps_document(document)
-    except DocumentError as error:
-        _fail(error, EXIT_PARSE)
-    except DiscordantError as error:
-        _fail(error, EXIT_VALIDATION)
+    document = _resolve_document(None, family, params)
+    if explicit:
+        document = state_to_document(document_to_state(document))
+    text = dumps_document(document)
     if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as error:
-            _fail(error, EXIT_PARSE)
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
     else:
         click.echo(text)
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import conditional_entropy_after_measurement, state_entropies, von_neumann_entropy
+from .correlations import (
+    conditional_entropy_after_measurement, information_function, state_entropies, von_neumann_entropy,
+)
 from .discord import DiscordReport, OptimizerConfig, discord_d1_at, optimize_discord
 from .exceptions import DiscordantError, InvalidParameters
 from .measurement import ProjectiveMeasurement, post_measurement_state
@@ -44,9 +46,7 @@ def work_single(rho, kt: float = 1.0) -> float:
     """Optimal average work kT (log2 d - S(rho)) from a single known state."""
     if not 0 < kt < float("inf"):
         raise InvalidParameters(f"kT must be positive and finite, got {kt}")
-    m = np.asarray(rho, dtype=complex)
-    entropy = von_neumann_entropy(m)
-    return kt * (float(np.log2(m.shape[0])) - entropy)
+    return kt * information_function(rho)
 
 
 def work_ledger(

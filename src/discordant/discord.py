@@ -79,10 +79,12 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerDiagnostics:
-    restarts_used: int
-    best_per_restart: tuple[float, ...]
-    converged: bool
-    function_evaluations: int
+    """Search evidence; the defaults describe a value taken at a fixed basis."""
+
+    restarts_used: int = 0
+    best_per_restart: tuple[float, ...] = ()
+    converged: bool = True
+    function_evaluations: int = 0
     degenerate_marginal: bool = False
     restricted_infimum: float | None = None
 
@@ -311,13 +313,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
         )
     j_value = h + s_other - s_post
 
-    diagnostics = OptimizerDiagnostics(
-        restarts_used=0,
-        best_per_restart=(),
-        converged=True,
-        function_evaluations=0,
-        degenerate_marginal=system.is_degenerate,
-    )
+    diagnostics = OptimizerDiagnostics(degenerate_marginal=system.is_degenerate)
     if system.is_degenerate:
         planes = _restricted_planes(system.degeneracy_groups)
         d = basis.shape[0]
@@ -346,11 +342,7 @@ def discord_d3_symmetric(state: BipartiteState) -> DiscordReport:
     j_value = mutual_information(dephased)
     value = mutual_information(state) - j_value
     diagnostics = OptimizerDiagnostics(
-        restarts_used=0,
-        best_per_restart=(),
-        converged=True,
-        function_evaluations=0,
-        degenerate_marginal=system_a.is_degenerate or system_b.is_degenerate,
+        degenerate_marginal=system_a.is_degenerate or system_b.is_degenerate
     )
     return DiscordReport("D3SYM", float(value), float(j_value), None, diagnostics)
 

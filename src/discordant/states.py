@@ -43,17 +43,16 @@ def validate_density_matrix(matrix, dim: int | None = None) -> np.ndarray:
 class BipartiteState:
     """Density matrix with an explicit (d_A, d_B) tensor factorization.
 
-    Validated on construction: Hermitian within 1e-12, unit trace within 1e-10,
-    positive semidefinite within -1e-10. Immutable thereafter.
+    Validated on construction: two integral dims of at least 1 (integral floats
+    such as 2.0 are accepted, booleans are not), Hermitian within 1e-12, unit
+    trace within 1e-10, positive semidefinite within -1e-10. Immutable thereafter.
     """
 
     dims: tuple[int, int]
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = (int(self.dims[0]), int(self.dims[1]))
-        if dims[0] < 1 or dims[1] < 1:
-            raise DimensionMismatch(f"dims must be positive, got {dims}")
+        dims = _dims(self.dims)
         rho = validate_density_matrix(self.rho, dim=dims[0] * dims[1]).copy()
         rho.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -88,7 +87,7 @@ class PureStateEnsemble:
     vectors: np.ndarray  # rows are the state vectors
 
     def __post_init__(self) -> None:
-        dims = (int(self.dims[0]), int(self.dims[1]))
+        dims = _dims(self.dims)
         w = np.asarray(self.weights, dtype=float)
         v = np.asarray(self.vectors, dtype=complex)
         if w.ndim != 1 or np.any(w < -1e-12) or abs(w.sum() - 1.0) > TRACE_TOL:
@@ -176,11 +175,7 @@ def teahouse_ensemble(weights=None) -> PureStateEnsemble:
     w = np.asarray(weights, dtype=float)
     if w.shape != (9,):
         raise BadWeights(f"expected 9 weights, got shape {w.shape}")
-    vectors = teahouse_vectors()
-    gram = vectors @ vectors.conj().T
-    if np.max(np.abs(gram - np.eye(9))) > 1e-12:
-        raise NonOrthogonalBasis("teahouse vectors failed the orthogonality certificate")
-    return PureStateEnsemble((3, 3), w, vectors)
+    return PureStateEnsemble((3, 3), w, teahouse_vectors())
 
 
 def zero_discord_state(p, basis_a, sigmas_b) -> BipartiteState:
@@ -225,11 +220,21 @@ def classical_classical_state(w) -> BipartiteState:
 
 
 def _integral(value, name: str, error: type[Exception] = InvalidParameters) -> int:
-    """``value`` as an int; an int() that changes the value raises ``error``."""
+    """``value`` as an int; a boolean, or an int() that changes the value, raises ``error``."""
     as_int = int(value)
-    if as_int != value:
+    if isinstance(value, (bool, np.bool_)) or as_int != value:
         raise error(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def _dims(dims) -> tuple[int, int]:
+    """(d_A, d_B) from exactly two integral entries, each at least 1."""
+    if len(dims) != 2:
+        raise DimensionMismatch(f"dims must have two entries, got {dims!r}")
+    d_a, d_b = (_integral(d, name) for d, name in zip(dims, ("d_A", "d_B")))
+    if d_a < 1 or d_b < 1:
+        raise DimensionMismatch(f"dims must be positive, got {(d_a, d_b)}")
+    return d_a, d_b
 
 
 def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) -> BipartiteState:
@@ -238,9 +243,10 @@ def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) 
 
     A d_A * d_B above MAX_RANDOM_DIM raises InvalidParameters before the draw.
     Integral floats such as 3.0 are accepted; a dimension, rank or seed that
-    is not integral raises InvalidParameters (BadRank for the rank).
+    is not integral or is a boolean raises InvalidParameters (BadRank for the
+    rank), and dims without exactly two entries raise DimensionMismatch.
     """
-    d_a, d_b = _integral(dims[0], "d_A"), _integral(dims[1], "d_B")
+    d_a, d_b = _dims(dims)
     dim = d_a * d_b
     if dim > MAX_RANDOM_DIM:
         raise InvalidParameters(f"d_A * d_B = {dim} exceeds the cap of {MAX_RANDOM_DIM}")

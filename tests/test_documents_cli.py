@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,25 +157,12 @@ class TestCliBasics:
     def test_analyze_json_byte_identical(self):
         args = (
             "analyze", "--family", "example_state", "--param", "b=0.3", "--param", "c=0.4",
-            "--restarts", "4", "--seed", "9", "--threads", "2", "--json",
+            "--restarts", "4", "--seed", "9", "--json",
         )
         first = invoke(*args)
         second = invoke(*args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
-
-    def test_analyze_json_does_not_depend_on_thread_count(self):
-        args = (
-            "analyze", "--family", "example_state", "--param", "b=0.0", "--param", "c=0.5",
-            "--restarts", "4", "--seed", "9", "--json",
-        )
-        default = invoke(*args)
-        one = invoke(*args, "--threads", "1")
-        two = invoke(*args, "--threads", "2")
-        assert default.exit_code == one.exit_code == two.exit_code == 0
-        assert default.output == one.output
-        assert json.loads(two.output)["settings"]["threads"] == 2
-        assert one.output == two.output.replace('"threads": 2', '"threads": 1')
 
     def test_analyze_runs_each_search_once(self, monkeypatch):
         import discordant.cli as cli_module
@@ -262,7 +252,7 @@ class TestCliBasics:
         assert "Traceback" not in result.output + result.stderr
 
     @pytest.mark.parametrize("option", [
-        ("--restarts", "0"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--threads", "0"),
+        ("--restarts", "0"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
         ("--seed", "-1"),
     ])
     def test_bad_optimizer_option_exit_2(self, option):
@@ -271,12 +261,49 @@ class TestCliBasics:
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.output + result.stderr
 
-    @pytest.mark.parametrize("command", ["analyze", "discord", "demon"])
-    def test_negative_seed_from_environment_exit_2(self, command):
-        result = invoke(command, "--family", "bell_mixture", "--param", "a=0.3",
-                        env={"DISCORDANT_SEED": "-1"})
+    def test_threads_option_is_gone(self):
+        result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--threads", "2")
         assert result.exit_code == 2
-        assert result.stderr.startswith("error: seed must be >= 0")
+        assert "No such option" in result.stderr and "--threads" in result.stderr
+
+    def test_environment_does_not_set_optimizer_options(self):
+        args = ("analyze", "--family", "example_state", "--param", "b=0.3", "--param", "c=0.4",
+                "--json")
+        plain = invoke(*args)
+        env = {"DISCORDANT_SEED": "5", "DISCORDANT_RESTARTS": "3", "DISCORDANT_THREADS": "2"}
+        with_env = invoke(*args, env=env)
+        assert plain.exit_code == with_env.exit_code == 0
+        assert plain.output == with_env.output
+        assert json.loads(plain.output)["settings"] == {
+            "restarts": 20, "seed": 0, "threads": 1, "tolerance": 1e-9,
+        }
+
+    @pytest.mark.parametrize("command, patched", [
+        (("analyze", "--restarts", "1"), "classify_zero_discord"),
+        (("classify",), "classify_zero_discord"),
+        (("discord", "--restarts", "1"), "optimize_discord"),
+        (("discord", "--measure", "D3SYM"), "discord_d3_symmetric"),
+        (("demon", "--restarts", "1"), "work_ledger"),
+        (("table1", "--restarts", "1"), "optimize_discord"),
+        (("states", "emit", "--explicit"), "state_to_document"),
+    ], ids=["analyze", "classify", "discord", "discord_d3sym", "demon", "table1", "states_emit"])
+    def test_library_error_after_loading_exit_3(self, monkeypatch, command, patched):
+        import discordant.cli as cli_module
+        from discordant import DiscordantError
+
+        def failing(*args, **kwargs):
+            raise DiscordantError("injected failure")
+
+        monkeypatch.setattr(cli_module, patched, failing)
+        source = ("--family", "bell_mixture", "--param", "a=0.3")
+        if command[0] == "states":
+            source = ("bell_mixture", "--param", "a=0.3")
+        elif command[0] == "table1":
+            source = ()
+        result = invoke(*command, *source)
+        assert result.exit_code == 3
+        assert result.stderr == "error: injected failure\n"
+        assert result.stdout == ""
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -313,6 +340,42 @@ class TestCliBasics:
         result = invoke("classify", "--family", "random", *args)
         assert result.exit_code == 3
         assert result.stderr.startswith("error:")
+
+    def test_closed_stdout_is_not_a_parse_error(self):
+        # A broken pipe is an OSError, but click, not the exit-2 mapping, handles it.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "discordant.cli", "states", "list"],
+                                   stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert child.stderr == b""
+
+    @pytest.mark.parametrize("params", [
+        ("dims=[2,2,5]",), ("dims=[true,2]",), ('dims={"a":1}',), ("dims=[2,2]", "rank=true"),
+        ("dims=[2,2]", "seed=true"),
+    ], ids=["three_dims", "boolean_dim", "object_dims", "boolean_rank", "boolean_seed"])
+    @pytest.mark.parametrize("command", [("classify",), ("states", "emit", "--explicit")])
+    def test_malformed_random_dims_and_booleans_exit_3(self, command, params):
+        args = [x for p in params for x in ("--param", p)]
+        if command[0] == "states":
+            result = invoke(*command, "random", *args)
+        else:
+            result = invoke(*command, "--family", "random", *args)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
+        assert result.stdout == ""
+
+    def test_explicit_boolean_dims_exit_3(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(
+            {"explicit": {"dims": [True, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}}
+        ))
+        result = invoke("classify", "--input", str(path))
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: d_A must be an integer")
 
     def test_integral_float_random_parameters_still_work(self):
         as_floats = invoke("classify", "--json", "--family", "random", "--param", "dims=[2.0, 3.0]",
@@ -425,23 +488,6 @@ class TestCliBasics:
         )
         assert analyzed.exit_code == 0
 
-    def test_env_variable_precedence(self):
-        env = {"DISCORDANT_RESTARTS": "3", "DISCORDANT_SEED": "11"}
-        from_env = invoke(
-            "analyze", "--family", "bell_mixture", "--param", "a=0.25", "--json", env=env
-        )
-        settings = json.loads(from_env.output)["settings"]
-        assert settings["restarts"] == 3
-        assert settings["seed"] == 11
-
-        flag_wins = invoke(
-            "analyze", "--family", "bell_mixture", "--param", "a=0.25",
-            "--restarts", "5", "--json", env=env,
-        )
-        settings = json.loads(flag_wins.output)["settings"]
-        assert settings["restarts"] == 5
-        assert settings["seed"] == 11
-
 
 class TestTable1:
     def test_rows_and_values(self):
@@ -468,6 +514,17 @@ class TestTable1:
         result = invoke("table1", "--restarts", "1", "--param", f"a={a}")
         assert result.exit_code == 3
         assert result.stderr.startswith("error: mixing probability must lie in [0, 1]")
+
+    @pytest.mark.parametrize("param, message", [
+        ("a=x", "error: malformed parameters for family 'bell_mixture'"),
+        ("b=0.3", "error: unknown parameters for family 'bell_mixture': ['b']"),
+        ("a", "error: --param expects KEY=VALUE"),
+    ], ids=["not_a_number", "unknown_key", "no_equals"])
+    def test_row3_parameter_parse_error_exit_2(self, param, message):
+        result = invoke("table1", "--restarts", "1", "--param", param)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(message)
+        assert result.stdout == ""
 
     def test_human_output_marks_citation(self):
         result = invoke("table1", "--restarts", "4")

@@ -21,9 +21,13 @@ NUMBERS = st.one_of(
     st.floats(-4.0, 4.0),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
+# Every JSON kind: numbers, strings, booleans, null, arrays and objects.
 VALUES = st.recursive(
-    st.one_of(NUMBERS, st.text(max_size=3)),
-    lambda children: st.lists(children, max_size=4),
+    st.one_of(NUMBERS, st.text(max_size=3), st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=2), children, max_size=2),
+    ),
     max_leaves=12,
 )
 

@@ -5,7 +5,9 @@ from discordant import (
     BadRank,
     BadWeights,
     BipartiteState,
+    DimensionMismatch,
     InvalidParameters,
+    PureStateEnsemble,
     NonOrthogonalBasis,
     NotDensityMatrix,
     bell_mixture,
@@ -27,6 +29,20 @@ class TestBipartiteState:
     def test_validation_rejects_negative(self):
         with pytest.raises(NotDensityMatrix):
             BipartiteState((2, 2), np.diag([0.75, 0.75, -0.25, -0.25]))
+
+    @pytest.mark.parametrize("dims, error", [
+        ((2.5, 2), InvalidParameters), ((True, 4), InvalidParameters), ((2, np.True_), InvalidParameters),
+        ((2, 2, 1), DimensionMismatch), ((4,), DimensionMismatch), ({"a": 1}, DimensionMismatch),
+        ((0, 4), DimensionMismatch),
+    ])
+    def test_dims_must_be_two_positive_integers(self, dims, error):
+        with pytest.raises(error):
+            BipartiteState(dims, np.eye(4) / 4)
+        with pytest.raises(error):
+            PureStateEnsemble(dims, [1.0], [[1.0, 0.0, 0.0, 0.0]])
+
+    def test_integral_float_dims_accepted(self):
+        assert BipartiteState((2.0, np.int64(2)), np.eye(4) / 4).dims == (2, 2)
 
     def test_immutable(self):
         state = example_state(0.3, 0.2)
@@ -173,6 +189,17 @@ class TestRandomState:
             random_state((2, 2), rank=2.5)
         with pytest.raises(InvalidParameters):
             random_state((2, 2), seed=1.5)
+
+    def test_malformed_dims_and_booleans_raise(self):
+        for dims in ((2, 2, 5), {"a": 1}, {}):
+            with pytest.raises(DimensionMismatch):
+                random_state(dims)
+        with pytest.raises(InvalidParameters):
+            random_state((True, 2))
+        with pytest.raises(BadRank):
+            random_state((2, 2), rank=True)
+        with pytest.raises(InvalidParameters):
+            random_state((2, 2), seed=False)
 
     def test_size_cap(self):
         assert random_state((32, 32), rank=1).dims == (32, 32)
