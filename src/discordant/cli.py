@@ -8,9 +8,9 @@ a random family value that is not integral, a kT that is not positive and
 finite or whose work values overflow, a table1 parameter out of range, or any
 other library error raised after loading), 4 AMBIGUOUS (classify). One
 boundary, ``main``'s invoke, maps library errors to exit codes. Optimizer
-settings come from the --seed, --restarts and --tol flags only. --json writes
-the library's report dataclasses as they are, with measurement bases as rows
-of [re, im] pairs.
+settings come from the --seed and --restarts flags only; the simplex tolerance
+is the fixed ``SIMPLEX_TOLERANCE``. --json writes the library's report
+dataclasses as they are, with measurement bases as rows of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .correlations import (
 )
 from .demon import WorkLedger, work_ledger
 from .discord import (
+    SIMPLEX_TOLERANCE,
     OptimizerConfig,
     _entropy_profile,
     classify_zero_discord,
@@ -85,8 +86,10 @@ def _resolve_document(input_path, family, params) -> StateDocument:
     if input_path is not None:
         if params:
             raise DocumentError("--param only applies together with --family")
-        text = sys.stdin.read() if input_path == "-" else open(input_path, "r", encoding="utf-8").read()
-        return loads_document(text)
+        if input_path == "-":
+            return loads_document(sys.stdin.read())
+        with open(input_path, "r", encoding="utf-8") as handle:
+            return loads_document(handle.read())
     parameters = dict(_parse_param(pair) for pair in params)
     return parse_document({"family": {"name": family, "parameters": parameters}})
 
@@ -124,10 +127,6 @@ def optimizer_options(command):
         "--restarts", type=int, default=20, show_default=True,
         help="Random restarts (the eigenbasis seed is added on top).",
     )(command)
-    command = click.option(
-        "--tol", type=float, default=1e-9, show_default=True,
-        help="Simplex value tolerance.",
-    )(command)
     return command
 
 
@@ -141,10 +140,10 @@ def input_options(command):
     return command
 
 
-def _make_config(seed, restarts, tol) -> OptimizerConfig:
+def _make_config(seed, restarts) -> OptimizerConfig:
     # A bad option is a parse error, not a validation error.
     try:
-        return OptimizerConfig(restarts=restarts, simplex_tolerance=tol, seed=seed)
+        return OptimizerConfig(restarts=restarts, seed=seed)
     except InvalidParameters as error:
         _fail(error, EXIT_PARSE)
 
@@ -238,12 +237,7 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         "identities": identities,
         "notes": notes,
         "warnings": warnings,
-        "settings": {
-            "seed": config.seed,
-            "restarts": config.restarts,
-            "tolerance": config.simplex_tolerance,
-            "threads": config.threads,
-        },
+        "settings": {**asdict(config), "tolerance": SIMPLEX_TOLERANCE},
     }
     report["_timing_seconds"] = time.perf_counter() - started
     return report
@@ -304,10 +298,10 @@ def main() -> None:
 @input_options
 @optimizer_options
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def analyze(input_path, family, params, seed, restarts, tol, as_json):
+def analyze(input_path, family, params, seed, restarts, as_json):
     """Full report: entropies, discords, classification, work ledger."""
     state, document = _load(input_path, family, params)
-    config = _make_config(seed, restarts, tol)
+    config = _make_config(seed, restarts)
     report = _analysis_report(state, document, config)
     if as_json:
         _echo_json(report)
@@ -346,10 +340,10 @@ def classify(input_path, family, params, side, as_json):
 @click.option("--side", type=click.Choice(["A", "B"], case_sensitive=False), default="A",
               show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def discord_command(input_path, family, params, seed, restarts, tol, measure, side, as_json):
+def discord_command(input_path, family, params, seed, restarts, measure, side, as_json):
     """Single discord measure with optimizer diagnostics."""
     state, _ = _load(input_path, family, params)
-    config = _make_config(seed, restarts, tol)
+    config = _make_config(seed, restarts)
     measure = measure.upper()
     if measure in ("D1", "D2"):
         report = optimize_discord(measure, state, side=side.upper(), config=config)
@@ -374,10 +368,10 @@ def discord_command(input_path, family, params, seed, restarts, tol, measure, si
 @optimizer_options
 @click.option("--kt", type=float, default=1.0, show_default=True, help="Energy unit kT.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def demon(input_path, family, params, seed, restarts, tol, kt, as_json):
+def demon(input_path, family, params, seed, restarts, kt, as_json):
     """Work-extraction ledger for the four engine scenarios."""
     state, _ = _load(input_path, family, params)
-    config = _make_config(seed, restarts, tol)
+    config = _make_config(seed, restarts)
     ledger = work_ledger(state, kt=kt, config=config)
     if as_json:
         _echo_json(_ledger_payload(ledger))
@@ -423,12 +417,12 @@ def _table1_rows(bell: BipartiteState, a: float, config: OptimizerConfig) -> lis
 @optimizer_options
 @click.option("--param", "params", multiple=True, help="Row parameter, e.g. a=0.3.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def table1(seed, restarts, tol, params, as_json):
+def table1(seed, restarts, params, as_json):
     """Local measurability vs. discord: recompute the discord column.
 
     The locally-measurable column is cited from prior literature, not computed.
     """
-    config = _make_config(seed, restarts, tol)
+    config = _make_config(seed, restarts)
     bell, document = _load(None, "bell_mixture", ("a=0.25",) + params)
     rows = _table1_rows(bell, float(document.parameters["a"]), config)
     if as_json:

@@ -35,8 +35,6 @@ from .measurement import (
 from .operator_core import commutator_norm, eig
 from .states import BipartiteState
 
-MEASURES = ("D1", "D2", "D3", "D3SYM")
-
 # Nominal zero threshold for discord values; the classifier treats a decisive
 # quantity within a factor of 10 of its tolerance as ambiguous.
 RESIDUAL_TOL = 1e-7
@@ -50,8 +48,9 @@ METHOD_COMMUTATOR = "COMMUTATOR"
 METHOD_EIGENBASIS = "EIGENBASIS"
 METHOD_EIGENSTRUCTURE = "EIGENSTRUCTURE"
 
-# Function-evaluation cap of each simplex in the measurement search.
+# Function-evaluation cap and value tolerance of each measurement simplex.
 MAX_EVALUATIONS = 5000
+SIMPLEX_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -59,7 +58,6 @@ class OptimizerConfig:
     """Multistart simplex settings; identical configs give identical results."""
 
     restarts: int = 20
-    simplex_tolerance: float = 1e-9
     seed: int = 0
     threads: int = 1
 
@@ -67,10 +65,6 @@ class OptimizerConfig:
         # Written as "not (valid)" so that nan fails every test.
         if not self.restarts >= 1:
             raise InvalidParameters(f"restarts must be >= 1, got {self.restarts!r}")
-        if not 0 < self.simplex_tolerance < float("inf"):
-            raise InvalidParameters(
-                f"simplex_tolerance must be positive and finite, got {self.simplex_tolerance!r}"
-            )
         if not self.seed >= 0:
             raise InvalidParameters(f"seed must be >= 0, got {self.seed!r}")
         if not self.threads >= 1:
@@ -159,13 +153,20 @@ def _entropies(state: BipartiteState, side: str):
     return e.s_b, e.s_a, e.s_ab
 
 
+def _at_basis(measure: str, state: BipartiteState, basis: np.ndarray, side: str) -> MeasuredDiscord:
+    """D1 (J = S_other - S(other|m)) or D2 (J = S_side + S_other - S_post) at ``basis`` on ``side``."""
+    s_side, s_other, s_ab = _entropies(state, side)
+    h, s_conditional, s_post = _entropy_profile(state, basis, side)
+    if measure == "D1":
+        return MeasuredDiscord(s_side + s_conditional - s_ab, s_other - s_conditional)
+    return MeasuredDiscord(h + s_conditional - s_ab, s_side + s_other - s_post)
+
+
 def discord_d1_at(state: BipartiteState, m: ProjectiveMeasurement) -> MeasuredDiscord:
     """Measurement-fixed discord S(rho_side) + S(other|m) - S(rho_AB), together
     with the information gain J = S(rho_other) - S(other|m)."""
     _check_dims(state, m)
-    s_side, s_other, s_ab = _entropies(state, m.subsystem)
-    _, s_conditional, _ = _entropy_profile(state, m.basis, m.subsystem)
-    return MeasuredDiscord(s_side + s_conditional - s_ab, s_other - s_conditional)
+    return _at_basis("D1", state, m.basis, m.subsystem)
 
 
 def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
@@ -175,11 +176,9 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     post-measurement state; a disagreement beyond 1e-9 raises.
     """
     _check_dims(state, m)
-    _, _, s_ab = _entropies(state, m.subsystem)
-    h, s_conditional, _ = _entropy_profile(state, m.basis, m.subsystem)
-    value = h + s_conditional - s_ab
+    value = _at_basis("D2", state, m.basis, m.subsystem).value
     s_post_direct = entropy_of_eigenvalues(np.linalg.eigvalsh(post_measurement_state(state, m).rho))
-    alternative = s_post_direct - s_ab
+    alternative = s_post_direct - state_entropies(state).s_ab
     if abs(value - alternative) > 1e-9:
         raise DiscordantError(
             f"post-measurement entropy paths disagree: {value!r} vs {alternative!r}"
@@ -187,13 +186,13 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     return value
 
 
-def _nelder_mead(objective, start: np.ndarray, tolerance: float, cap: int) -> OptimizeResult:
+def _nelder_mead(objective, start: np.ndarray, cap: int) -> OptimizeResult:
     """One Nelder-Mead simplex from ``start``, stopped at ``cap`` evaluations."""
     return minimize(
         objective,
         start,
         method="Nelder-Mead",
-        options=dict(fatol=tolerance, xatol=1e-6, maxfev=cap, maxiter=cap),
+        options=dict(fatol=SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=cap, maxiter=cap),
     )
 
 
@@ -232,7 +231,7 @@ def optimize_discord(
         config = OptimizerConfig()
 
     d = state.d_a if side == "A" else state.d_b
-    s_side, s_other, s_ab = _entropies(state, side)
+    s_side, _, s_ab = _entropies(state, side)
     constant = (s_side - s_ab) if measure == "D1" else -s_ab
 
     def objective(params: np.ndarray) -> float:
@@ -242,7 +241,7 @@ def optimize_discord(
         return entropy_of_eigenvalues(probs) + s_conditional + constant
 
     def run(start: np.ndarray):
-        return _nelder_mead(objective, start, config.simplex_tolerance, MAX_EVALUATIONS)
+        return _nelder_mead(objective, start, MAX_EVALUATIONS)
 
     n_params = d * (d - 1)
     if n_params == 0:
@@ -267,13 +266,7 @@ def optimize_discord(
     best = results[best_index]
     basis = basis_from_parameters(best.x, d)
     measurement = ProjectiveMeasurement(side, basis)
-    h, s_conditional, s_post = _entropy_profile(state, basis, side)
-    if measure == "D1":
-        value = s_side + s_conditional - s_ab
-        j_value = s_other - s_conditional
-    else:
-        value = h + s_conditional - s_ab
-        j_value = s_side + s_other - s_post
+    value, j_value = _at_basis(measure, state, basis, side)
 
     diagnostics = OptimizerDiagnostics(
         restarts_used=len(results),
@@ -282,13 +275,6 @@ def optimize_discord(
         function_evaluations=int(sum(r.nfev for r in results)),
     )
     return DiscordReport(measure, float(value), float(j_value), measurement, diagnostics)
-
-
-def _restricted_planes(groups) -> list[tuple[int, int]]:
-    planes = []
-    for group in groups:
-        planes.extend((p, q) for p in group for q in group if p < q)
-    return planes
 
 
 def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
@@ -315,7 +301,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
 
     diagnostics = OptimizerDiagnostics(degenerate_marginal=system.is_degenerate)
     if system.is_degenerate:
-        planes = _restricted_planes(system.degeneracy_groups)
+        planes = [(p, q) for group in system.degeneracy_groups for p in group for q in group if p < q]
         d = basis.shape[0]
 
         def restricted_objective(params: np.ndarray) -> float:
@@ -327,7 +313,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
         best = value
         for _ in range(50):
             start = _random_start(rng, 2 * len(planes))
-            best = min(best, float(_nelder_mead(restricted_objective, start, 1e-9, 2000).fun))
+            best = min(best, float(_nelder_mead(restricted_objective, start, 2000).fun))
         diagnostics.restricted_infimum = best
     return DiscordReport("D3", float(value), float(j_value), None, diagnostics)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
 from discordant import discord as discord_module
@@ -123,6 +125,29 @@ class TestMeasurementFixedValues:
                 mutual_information(post_measurement_state(state, m)), abs=1e-9
             )
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.sampled_from(["A", "B"]), st.integers(0, 2**32 - 1),
+    )
+    def test_information_identities_at_haar_bases(self, d_a, d_b, side, seed):
+        # D1 + J is the mutual information, and D2 exceeds D1 by the outcome
+        # entropy's excess over S(rho_side), which is never negative.
+        rng = np.random.default_rng(seed)
+        dims = (d_a, d_b)
+        state = random_state(dims, rank=int(rng.integers(1, d_a * d_b + 1)), seed=seed)
+        basis = oracles.haar_bases(1, d_a if side == "A" else d_b, rng)[0]
+        m = ProjectiveMeasurement(side, basis)
+        d1 = discord_d1_at(state, m)
+        marginals = {key: oracles.loop_partial_trace(state.rho, dims, key) for key in "AB"}
+        entropies = {key: oracles.state_entropy(marginals[key]) for key in "AB"}
+        information = entropies["A"] + entropies["B"] - oracles.state_entropy(state.rho)
+        assert d1.value + d1.j_value == pytest.approx(information, abs=1e-12)
+        outcome_probs = np.real(np.diag(basis.conj().T @ marginals[side] @ basis))
+        excess = oracles.entropy_bits(outcome_probs) - entropies[side]
+        gap = discord_d2_at(state, m) - d1.value
+        assert gap == pytest.approx(excess, abs=1e-12)
+        assert min(gap, excess) >= -1e-12
+
 
 class TestOptimizer:
     def test_example_state_d1_matches_grid_oracle(self):
@@ -149,6 +174,9 @@ class TestOptimizer:
             else:
                 again = discord_d2_at(example_state(0.5, 0.5), m)
             assert report.value == pytest.approx(again, abs=1e-8)
+            # For both measures the reported value and J split I(A:B).
+            information = mutual_information(example_state(0.5, 0.5))
+            assert report.value + report.j_value == pytest.approx(information, abs=1e-12)
 
     def test_deterministic_given_config(self):
         state = random_state((2, 2), seed=97)
@@ -397,6 +425,32 @@ class TestOraclesBeyondQubits:
         at_basis = oracles.measured_values(state.rho, dims, "A", measure, basis[None])[0]
         assert report.value == pytest.approx(at_basis, abs=1e-9)
         assert report.value <= oracles.random_basis_bound(state.rho, dims, "A", measure)
+
+
+class TestVanishTogetherBeyondQubits:
+    """The paper's measures vanish together on zero-discord states, checked at
+    measured dimension 3 with a Haar-rotated defining basis."""
+
+    @pytest.mark.parametrize("dims", [(3, 2), (3, 3)])
+    @pytest.mark.parametrize("weights", [[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]], ids=["plain", "degenerate"])
+    def test_zero_discord_state(self, dims, weights):
+        rng = np.random.default_rng(3100 + dims[1])
+        basis = oracles.haar_bases(1, 3, rng)[0]
+        sigmas = [random_state((dims[1], 1), seed=int(rng.integers(1 << 30))).rho for _ in range(3)]
+        state = zero_discord_state(weights, basis.T, sigmas)
+        config = OptimizerConfig(restarts=2, seed=0)
+        assert classify_zero_discord(state).verdict == "ZERO"
+        assert optimize_discord("D1", state, config=config).value <= 1e-9
+        assert optimize_discord("D2", state, config=config).value <= 1e-9
+        d3 = discord_d3(state)
+        assert d3.diagnostics.degenerate_marginal == (weights[0] == weights[1])
+        if d3.diagnostics.degenerate_marginal:
+            # The conventional eigenbasis need not be the defining one; the
+            # search over bases diagonalizing the marginal finds it.
+            assert d3.diagnostics.restricted_infimum <= 1e-9
+        else:
+            assert d3.value <= 1e-9
+        assert classify_zero_discord(random_state(dims, seed=3200)).verdict == "NONZERO"
 
 
 class TestClassifier:

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -252,8 +254,7 @@ class TestCliBasics:
         assert "Traceback" not in result.output + result.stderr
 
     @pytest.mark.parametrize("option", [
-        ("--restarts", "0"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
-        ("--seed", "-1"),
+        ("--restarts", "0"), ("--seed", "-1"),
     ])
     def test_bad_optimizer_option_exit_2(self, option):
         result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", *option)
@@ -265,6 +266,22 @@ class TestCliBasics:
         result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--threads", "2")
         assert result.exit_code == 2
         assert "No such option" in result.stderr and "--threads" in result.stderr
+
+    def test_tol_option_is_gone(self):
+        # The simplex tolerance is the fixed SIMPLEX_TOLERANCE.
+        result = invoke("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--tol", "1e-9")
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--tol" in result.stderr
+
+    def test_input_file_is_closed(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(FIXTURE_DOCUMENTS[1]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke("classify", "--input", str(path))
+            gc.collect()
+        assert result.exit_code == 1
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_environment_does_not_set_optimizer_options(self):
         args = ("analyze", "--family", "example_state", "--param", "b=0.3", "--param", "c=0.4",
