@@ -10,7 +10,8 @@ other library error raised after loading), 4 AMBIGUOUS (classify). One
 boundary, ``main``'s invoke, maps library errors to exit codes. Optimizer
 settings come from the --seed and --restarts flags only; the simplex tolerance
 is the fixed ``SIMPLEX_TOLERANCE``. --json writes the library's report
-dataclasses as they are, with measurement bases as rows of [re, im] pairs.
+dataclasses as they are, with measurement bases as rows of [re, im] pairs. Each
+printed search that did not converge adds one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .correlations import (
 from .demon import WorkLedger, work_ledger
 from .discord import (
     SIMPLEX_TOLERANCE,
+    DiscordReport,
     OptimizerConfig,
     _entropy_profile,
     classify_zero_discord,
@@ -148,6 +150,14 @@ def _make_config(seed, restarts) -> OptimizerConfig:
         _fail(error, EXIT_PARSE)
 
 
+def _warned(report: DiscordReport) -> DiscordReport:
+    """``report``, after a warning on stderr if its search did not converge."""
+    if not report.diagnostics.converged:
+        evaluations = report.diagnostics.function_evaluations
+        click.echo(f"warning: {report.measure} search did not converge after {evaluations} evaluations", err=True)
+    return report
+
+
 def _ledger_payload(ledger: WorkLedger) -> dict:
     return {
         "kT": ledger.kt,
@@ -166,15 +176,15 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
     started = time.perf_counter()
     entropies = state_entropies(state)
 
-    d1 = optimize_discord("D1", state, side="A", config=config)
-    d3 = discord_d3(state, side="A")
+    d1 = _warned(optimize_discord("D1", state, side="A", config=config))
+    d3 = _warned(discord_d3(state, side="A"))
     d3sym = discord_d3_symmetric(state)
     verdicts = {
         "A": classify_zero_discord(state, "A"),
         "B": classify_zero_discord(state, "B"),
     }
     ledger = work_ledger(state, kt=1.0, config=config)
-    d2 = ledger.d2
+    d2 = _warned(ledger.d2)
 
     warnings: list[str] = []
 
@@ -351,12 +361,13 @@ def discord_command(input_path, family, params, seed, restarts, measure, side, a
         report = discord_d3(state, side=side.upper())
     else:
         report = discord_d3_symmetric(state)
+    _warned(report)
     if as_json:
         _echo_json(asdict(report))
     else:
         click.echo(f"{report.measure} = {_fmt(report.value)} bits (J = {_fmt(report.j_value)})")
         if report.diagnostics.degenerate_marginal:
-            click.echo("note: measured marginal is degenerate; eigenbasis fixed by convention")
+            click.echo("note: measured marginal is degenerate; eigenbasis as the eigensolver returns it")
             if report.diagnostics.restricted_infimum is not None:
                 click.echo(
                     f"      restricted-basis infimum {_fmt(report.diagnostics.restricted_infimum)}"
@@ -373,6 +384,7 @@ def demon(input_path, family, params, seed, restarts, kt, as_json):
     state, _ = _load(input_path, family, params)
     config = _make_config(seed, restarts)
     ledger = work_ledger(state, kt=kt, config=config)
+    _warned(ledger.d2)
     if as_json:
         _echo_json(_ledger_payload(ledger))
     else:
@@ -404,8 +416,8 @@ def _table1_rows(bell: BipartiteState, a: float, config: OptimizerConfig) -> lis
     return [
         {
             "states": label,
-            "d1_a": optimize_discord("D1", state, "A", config).value,
-            "d1_b": optimize_discord("D1", state, "B", config).value if both_sides else None,
+            "d1_a": _warned(optimize_discord("D1", state, "A", config)).value,
+            "d1_b": _warned(optimize_discord("D1", state, "B", config)).value if both_sides else None,
             "locally_measurable": measurable,
             "notes": notes,
         }

@@ -12,7 +12,7 @@ Measures (all in bits, all over rank-1 projective measurements):
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple
 
@@ -186,21 +186,50 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     return value
 
 
-def _nelder_mead(objective, start: np.ndarray, cap: int) -> OptimizeResult:
-    """One Nelder-Mead simplex from ``start``, stopped at ``cap`` evaluations."""
-    return minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options=dict(fatol=SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=cap, maxiter=cap),
+def _nelder_mead(objective, start: np.ndarray) -> OptimizeResult:
+    """One Nelder-Mead simplex from ``start``, stopped at ``MAX_EVALUATIONS``
+    evaluations. An empty start, the one point of a chart without angles, is
+    evaluated once."""
+    if start.size == 0:
+        return OptimizeResult(x=start, fun=objective(start), success=True, nfev=1)
+    options = dict(fatol=SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=MAX_EVALUATIONS, maxiter=MAX_EVALUATIONS)
+    return minimize(objective, start, method="Nelder-Mead", options=options)
+
+
+def _multistart(objective, first: np.ndarray, config: OptimizerConfig):
+    """(best simplex result, diagnostics) of one simplex from ``first`` and one
+    from each of ``config.restarts`` random starts seeded by ``config.seed``.
+
+    An empty ``first`` is the only point of its chart and runs alone. Ties
+    within 1e-10 resolve to the lowest start index, ``first`` being 0.
+
+    ``converged`` means that a simplex reaching the best value stopped within
+    tolerance. It is not a certificate of the global minimum: every start can
+    end in the same local minimum. When no such simplex stopped within the
+    evaluation budget the flag is cleared; the best point is still returned.
+    """
+    rng = np.random.default_rng(config.seed)
+    starts = [first]
+    for _ in range(config.restarts if first.size else 0):
+        start = np.empty(first.size)
+        start[0::2] = rng.uniform(0.0, np.pi, first.size // 2)
+        start[1::2] = rng.uniform(0.0, 2 * np.pi, first.size // 2)
+        starts.append(start)
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(lambda start: _nelder_mead(objective, start), starts))
+    else:
+        results = [_nelder_mead(objective, start) for start in starts]
+    best = results[0]
+    for result in results[1:]:
+        if result.fun < best.fun - 1e-10:
+            best = result
+    return best, OptimizerDiagnostics(
+        restarts_used=len(results),
+        best_per_restart=tuple(float(r.fun) for r in results),
+        converged=any(r.success and r.fun <= best.fun + 1e-10 for r in results),
+        function_evaluations=int(sum(r.nfev for r in results)),
     )
-
-
-def _random_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
-    x = np.empty(n_params)
-    x[0::2] = rng.uniform(0.0, np.pi, n_params // 2)
-    x[1::2] = rng.uniform(0.0, 2 * np.pi, n_params // 2)
-    return x
 
 
 def optimize_discord(
@@ -211,17 +240,10 @@ def optimize_discord(
 ) -> DiscordReport:
     """Minimize D1 or D2 over all rank-1 projective measurements on one side.
 
-    Multistart Nelder-Mead over the Givens-angle chart: ``config.restarts``
-    seeded random starting points plus the eigenbasis of the measured
-    marginal. Deterministic for a fixed config; ties between restarts
-    (within 1e-10) resolve to the lowest restart index.
-
-    ``converged`` means that a simplex reaching the best value stopped within
-    tolerance. It is not a certificate of the global minimum: every start can
-    end in the same local minimum. When no such simplex stopped within the
-    evaluation budget the flag is cleared, and the best point found is still
-    returned. A one-dimensional measured side has the single basis [[1]],
-    which is evaluated once and reported as converged.
+    ``_multistart`` over the Givens-angle chart, from the eigenbasis of the
+    measured marginal and ``config.restarts`` seeded random points. A
+    one-dimensional measured side has the single basis [[1]], which is
+    evaluated once and reported as converged.
     """
     measure = str(measure).upper()
     if measure not in ("D1", "D2"):
@@ -240,50 +262,22 @@ def optimize_discord(
             return s_conditional + constant
         return entropy_of_eigenvalues(probs) + s_conditional + constant
 
-    def run(start: np.ndarray):
-        return _nelder_mead(objective, start, MAX_EVALUATIONS)
-
-    n_params = d * (d - 1)
-    if n_params == 0:
-        # A one-dimensional side has the single basis [[1]], and Nelder-Mead
-        # cannot start from an empty vector: evaluate it once.
-        lone = np.empty(0)
-        results = [OptimizeResult(x=lone, fun=objective(lone), success=True, nfev=1)]
-    else:
-        rng = np.random.default_rng(config.seed)
-        starts = [parameters_for_basis(eig(state.marginal(side)).eigenvectors)]
-        starts.extend(_random_start(rng, n_params) for _ in range(config.restarts))
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(run, starts))
-        else:
-            results = [run(start) for start in starts]
-
-    best_index = 0
-    for index in range(1, len(results)):
-        if results[index].fun < results[best_index].fun - 1e-10:
-            best_index = index
-    best = results[best_index]
+    first = parameters_for_basis(eig(state.marginal(side)).eigenvectors)
+    best, diagnostics = _multistart(objective, first, config)
     basis = basis_from_parameters(best.x, d)
-    measurement = ProjectiveMeasurement(side, basis)
     value, j_value = _at_basis(measure, state, basis, side)
-
-    diagnostics = OptimizerDiagnostics(
-        restarts_used=len(results),
-        best_per_restart=tuple(float(r.fun) for r in results),
-        converged=any(r.success and r.fun <= best.fun + 1e-10 for r in results),
-        function_evaluations=int(sum(r.nfev for r in results)),
-    )
-    return DiscordReport(measure, float(value), float(j_value), measurement, diagnostics)
+    return DiscordReport(measure, float(value), float(j_value), ProjectiveMeasurement(side, basis), diagnostics)
 
 
 def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
     """Discord evaluated at the eigenbasis of the measured marginal.
 
-    With a degenerate marginal the eigenbasis is not unique; the deterministic
-    eigendecomposition convention fixes the reported value, the diagnostics
-    flag the degeneracy, and ``restricted_infimum`` brackets the value from
-    below over a 50-restart search of bases diagonalizing the marginal.
+    With a degenerate marginal the eigenbasis is not unique: ``eig`` fixes
+    only column phases and order, which projectors ignore, so inside a
+    degenerate eigenspace the basis is whatever the eigensolver returns. The
+    diagnostics then flag the degeneracy and report the restricted search,
+    ``_multistart`` at the default ``OptimizerConfig`` from that basis, whose
+    ``restricted_infimum`` (least D1 over diagonalizing bases) is <= the value.
     """
     side = _side(side)
     system = eig(state.marginal(side))
@@ -294,27 +288,20 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
     value = s_side + s_conditional - s_ab
     alternative = s_post - s_ab
     if abs(value - alternative) > 1e-9:
-        raise DiscordantError(
-            f"eigenbasis entropy paths disagree: {value!r} vs {alternative!r}"
-        )
+        raise DiscordantError(f"eigenbasis entropy paths disagree: {value!r} vs {alternative!r}")
     j_value = h + s_other - s_post
 
     diagnostics = OptimizerDiagnostics(degenerate_marginal=system.is_degenerate)
     if system.is_degenerate:
         planes = [(p, q) for group in system.degeneracy_groups for p in group for q in group if p < q]
-        d = basis.shape[0]
 
         def restricted_objective(params: np.ndarray) -> float:
-            rotation = _givens_product(params, d, planes)
+            rotation = _givens_product(params, len(basis), planes)
             _, _, s_cond = _conditional_entropy(state, basis @ rotation, side)
             return s_side + s_cond - s_ab
 
-        rng = np.random.default_rng(0)
-        best = value
-        for _ in range(50):
-            start = _random_start(rng, 2 * len(planes))
-            best = min(best, float(_nelder_mead(restricted_objective, start, 2000).fun))
-        diagnostics.restricted_infimum = best
+        best, searched = _multistart(restricted_objective, np.zeros(2 * len(planes)), OptimizerConfig())
+        diagnostics = replace(searched, degenerate_marginal=True, restricted_infimum=float(best.fun))
     return DiscordReport("D3", float(value), float(j_value), None, diagnostics)
 
 

@@ -152,3 +152,29 @@ def random_basis_bound(rho, dims, side: str, measure: str, n: int = 4096, seed: 
     d = dims[0] if side == "A" else dims[1]
     bases = haar_bases(n, d, np.random.default_rng(seed))
     return float(np.min(measured_values(rho, dims, side, measure, bases)))
+
+
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# Correlation vectors (c_1, c_2, c_3) of the four Bell states: the vertices of
+# the tetrahedron of Bell-diagonal states.
+BELL_VERTICES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+def bell_diagonal_rho(c) -> np.ndarray:
+    """(1 + sum_i c_i sigma_i x sigma_i) / 4."""
+    return (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+
+
+def luo_bell_diagonal_discord(c) -> float:
+    """Luo's closed form (PRA 77, 042303, 2008) for the discord of the
+    Bell-diagonal state with correlations c: I - C, where I = 2 - S(rho)
+    (both marginals are I/2) and C = sum_{x = 1 +- max|c_i|} (x / 2) log2 x."""
+    c1, c2, c3 = c
+    spectrum = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]) / 4
+    c_max = float(np.max(np.abs(c)))
+    classical = sum(x / 2 * np.log2(x) for x in (1 - c_max, 1 + c_max) if x > 0)
+    return 2.0 - entropy_bits(spectrum) - classical

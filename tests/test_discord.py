@@ -9,6 +9,7 @@ from discordant import (
     BipartiteState,
     InvalidParameters,
     OptimizerConfig,
+    OptimizerDiagnostics,
     ProjectiveMeasurement,
     bell_mixture_discord_closed_form,
     classify_zero_discord,
@@ -277,6 +278,52 @@ class TestD3:
         # is positive while the infimum over diagonalizing bases vanishes.
         assert report.value > 0.01
         assert report.diagnostics.restricted_infimum == pytest.approx(0.0, abs=1e-9)
+
+    def test_degenerate_marginal_reports_the_restricted_search(self):
+        state = bell_mixture(0.25)
+        report = discord_d3(state)
+        diagnostics = report.diagnostics
+        assert diagnostics.degenerate_marginal
+        # The default OptimizerConfig: the eigenbasis plus 20 seeded starts.
+        assert diagnostics.restarts_used == 21
+        assert len(diagnostics.best_per_restart) == 21
+        assert diagnostics.function_evaluations > 0
+        assert diagnostics.restricted_infimum <= report.value
+        assert discord_d3(state).diagnostics == diagnostics
+
+    def test_non_degenerate_marginal_keeps_fixed_basis_diagnostics(self):
+        assert discord_d3(example_state(0.5, 0.5)).diagnostics == OptimizerDiagnostics()
+
+    def test_every_simplex_is_capped_at_max_evaluations(self, monkeypatch):
+        caps = []
+
+        def first_point_only(fun, x0, options, **_):
+            caps.append(options["maxfev"])
+            return OptimizeResult(x=x0, fun=fun(x0), success=True, nfev=1)
+
+        monkeypatch.setattr(discord_module, "minimize", first_point_only)
+        optimize_discord("D1", example_state(0.5, 0.5), config=OptimizerConfig(restarts=1))
+        assert caps == [discord_module.MAX_EVALUATIONS] * 2
+        caps.clear()
+        discord_d3(bell_mixture(0.25))
+        assert caps == [discord_module.MAX_EVALUATIONS] * 21
+
+
+class TestLuoBellDiagonal:
+    """D1 and D3's restricted infimum against Luo's closed form for
+    Bell-diagonal states. Their marginals are I/2, which every basis
+    diagonalizes, so the restricted search spans every measurement."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_closed_form(self, seed):
+        weights = np.random.default_rng(4400 + seed).dirichlet(np.ones(4))
+        c = weights @ oracles.BELL_VERTICES
+        state = BipartiteState((2, 2), oracles.bell_diagonal_rho(c))
+        expected = oracles.luo_bell_diagonal_discord(c)
+        assert optimize_discord("D1", state).value == pytest.approx(expected, abs=1e-9)
+        d3 = discord_d3(state)
+        assert d3.diagnostics.degenerate_marginal
+        assert d3.diagnostics.restricted_infimum == pytest.approx(expected, abs=1e-9)
 
 
 class TestD3Symmetric:

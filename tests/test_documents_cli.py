@@ -19,6 +19,7 @@ from discordant import (
     parse_document,
     state_to_document,
 )
+from discordant import discord as discord_module
 from discordant.cli import main
 from discordant.documents import FAMILIES
 from discordant.states import bell_mixture, example_state
@@ -206,6 +207,31 @@ class TestCliBasics:
         report = json.loads(analyzed.output)
         assert report["demon"] == json.loads(demon.output)
         assert report["discord"]["d2"] == json.loads(d2.output)
+
+    def test_unconverged_search_warns_on_stderr_only(self):
+        # A (4, 2) D1 at one restart stops both simplexes at MAX_EVALUATIONS.
+        result = invoke("discord", "--family", "random", "--param", "dims=[4,2]", "--param", "seed=7",
+                        "--restarts", "1", "--json")
+        assert result.exit_code == 0
+        diagnostics = json.loads(result.stdout)["diagnostics"]
+        assert not diagnostics["converged"]
+        assert diagnostics["function_evaluations"] == 10000
+        assert result.stderr == "warning: D1 search did not converge after 10000 evaluations\n"
+
+    @pytest.mark.parametrize("command, measures", [
+        (("analyze", "--family", "bell_mixture", "--param", "a=0.25"), ["D1", "D3", "D2"]),
+        (("demon", "--family", "bell_mixture", "--param", "a=0.25"), ["D2"]),
+        (("table1",), ["D1"] * 6),
+    ], ids=["analyze", "demon", "table1"])
+    def test_each_printed_unconverged_search_warns(self, monkeypatch, command, measures):
+        # A five-evaluation cap stops every simplex, D3's restricted one too.
+        monkeypatch.setattr(discord_module, "MAX_EVALUATIONS", 5)
+        result = invoke(*command, "--restarts", "1", "--json")
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report.get("warnings", []) == []
+        warned = re.findall(r"^warning: (\w+) search did not converge after \d+ evaluations$", result.stderr, re.M)
+        assert warned == measures
 
     @pytest.mark.parametrize("document", [
         {"family": {"name": "example_state", "parameters": {"b": float("nan"), "c": 0.5}}},
