@@ -55,13 +55,9 @@ from .exceptions import (
     NonOrthogonalBasis,
     NotDensityMatrix,
     NotPositiveSemidefinite,
-    SupportMismatch,
 )
 from .measurement import (
     ProjectiveMeasurement,
-    dephase,
-    from_parameters,
-    parameters_for_basis,
     post_measurement_state,
 )
 from .operator_core import (

@@ -10,6 +10,7 @@ its own marginal (w3). Memory-resetting costs are excluded throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -42,10 +43,15 @@ class WorkLedger:
     d2: DiscordReport
 
 
+def _check_kt(kt) -> None:
+    """Raise InvalidParameters unless ``kt`` is a real number (not a bool) in (0, inf)."""
+    if isinstance(kt, bool) or not isinstance(kt, Real) or not 0 < kt < float("inf"):
+        raise InvalidParameters(f"kT must be positive and finite, got {kt!r}")
+
+
 def work_single(rho, kt: float = 1.0) -> float:
     """Optimal average work kT (log2 d - S(rho)) from a single known state."""
-    if not 0 < kt < float("inf"):
-        raise InvalidParameters(f"kT must be positive and finite, got {kt}")
+    _check_kt(kt)
     return kt * information_function(rho)
 
 
@@ -61,8 +67,7 @@ def work_ledger(
     scales every field exactly; a kT whose product with the work is not
     finite raises InvalidParameters.
     """
-    if not 0 < kt < float("inf"):
-        raise InvalidParameters(f"kT must be positive and finite, got {kt}")
+    _check_kt(kt)
     d_a, d_b = state.dims
     log_dim = float(np.log2(d_a * d_b))
     entropies = state_entropies(state)

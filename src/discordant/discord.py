@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +26,11 @@ from .measurement import (
     OUTCOME_CLIP,
     ProjectiveMeasurement,
     _check_dims,
+    _dephase,
     _givens_product,
+    _parameters_for_basis,
     basis_from_parameters,
     conditional_blocks,
-    dephase,
-    parameters_for_basis,
     post_measurement_state,
 )
 from .operator_core import commutator_norm, eig
@@ -62,13 +63,13 @@ class OptimizerConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        # Written as "not (valid)" so that nan fails every test.
-        if not self.restarts >= 1:
-            raise InvalidParameters(f"restarts must be >= 1, got {self.restarts!r}")
-        if not self.seed >= 0:
-            raise InvalidParameters(f"seed must be >= 0, got {self.seed!r}")
-        if not self.threads >= 1:
-            raise InvalidParameters(f"threads must be >= 1, got {self.threads!r}")
+        # Booleans are Integral too, but True is not a count or a seed.
+        for name, floor in (("restarts", 1), ("seed", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidParameters(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise InvalidParameters(f"{name} must be >= {floor}, got {value!r}")
 
 
 @dataclass
@@ -262,7 +263,7 @@ def optimize_discord(
             return s_conditional + constant
         return entropy_of_eigenvalues(probs) + s_conditional + constant
 
-    first = parameters_for_basis(eig(state.marginal(side)).eigenvectors)
+    first = _parameters_for_basis(eig(state.marginal(side)).eigenvectors)
     best, diagnostics = _multistart(objective, first, config)
     basis = basis_from_parameters(best.x, d)
     value, j_value = _at_basis(measure, state, basis, side)
@@ -311,7 +312,7 @@ def discord_d3_symmetric(state: BipartiteState) -> DiscordReport:
     system_a = eig(state.marginal("A"))
     system_b = eig(state.marginal("B"))
     product_basis = np.kron(system_a.eigenvectors, system_b.eigenvectors)
-    dephased = BipartiteState(state.dims, dephase(state.rho, product_basis))
+    dephased = BipartiteState(state.dims, _dephase(state.rho, product_basis))
     j_value = mutual_information(dephased)
     value = mutual_information(state) - j_value
     diagnostics = OptimizerDiagnostics(

@@ -45,9 +45,5 @@ class IncompleteBasis(DiscordantError):
     """Projector family does not resolve the identity."""
 
 
-class SupportMismatch(DiscordantError):
-    """Joint state has weight outside the support of the marginal."""
-
-
 class DocumentError(DiscordantError):
     """State document is malformed (schema-level parse failure)."""

@@ -11,8 +11,9 @@ in lexicographic order, two angles (theta, phi) per plane:
 The all-zero parameter vector is the computational basis; for d = 2 the single
 plane at theta = pi/2, phi = 0 gives the sigma_x eigenbasis. Every rank-1
 projective measurement is reachable: a QR-style elimination recovers angles for
-any target basis (parameters_for_basis), so the chart is surjective onto bases
-modulo per-vector phases, which projectors ignore.
+any target basis (``_parameters_for_basis``, which gives the discord search its
+eigenbasis start), so the chart is surjective onto bases modulo per-vector
+phases, which projectors ignore.
 """
 
 from __future__ import annotations
@@ -29,24 +30,13 @@ COMPLETENESS_TOL = 1e-10
 OUTCOME_CLIP = 1e-12
 
 
-def _complete_basis(basis) -> np.ndarray:
-    """``basis`` as a complex array, raising IncompleteBasis unless it is a
-    square matrix with orthonormal columns within 1e-10."""
-    u = np.asarray(basis, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
-    gram = u.conj().T @ u
-    if np.max(np.abs(gram - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
-        raise IncompleteBasis("projector family does not resolve the identity")
-    return u
-
-
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
     """Complete family of rank-1 orthogonal projectors on one subsystem.
 
     ``basis`` columns are the measured directions; projector a is the outer
-    product of column a with itself.
+    product of column a with itself. A basis that is not square with
+    orthonormal columns within 1e-10 raises IncompleteBasis.
     """
 
     subsystem: str
@@ -56,7 +46,11 @@ class ProjectiveMeasurement:
         side = str(self.subsystem).upper()
         if side not in ("A", "B"):
             raise DimensionMismatch(f"subsystem must be 'A' or 'B', got {self.subsystem!r}")
-        u = _complete_basis(self.basis).copy()
+        u = np.array(self.basis, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
+        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
+            raise IncompleteBasis("projector family does not resolve the identity")
         u.flags.writeable = False
         object.__setattr__(self, "subsystem", side)
         object.__setattr__(self, "basis", u)
@@ -103,21 +97,14 @@ def _givens_product(params, d: int, planes) -> np.ndarray:
     return reduce(np.matmul, rotations) + 0.0
 
 
-def from_parameters(params, d: int, subsystem: str = "A") -> ProjectiveMeasurement:
-    """Measurement at a chart point (see module docstring for the convention)."""
-    return ProjectiveMeasurement(subsystem, basis_from_parameters(params, d))
-
-
-def parameters_for_basis(basis) -> np.ndarray:
-    """Chart angles reproducing the projector family of the given orthonormal basis.
+def _parameters_for_basis(basis: np.ndarray) -> np.ndarray:
+    """Chart angles reproducing the projector family of the given unitary.
 
     Runs the Givens elimination in plane order; the residue is a diagonal phase
-    matrix, which projectors are blind to. A basis that is not square with
-    orthonormal columns raises IncompleteBasis.
+    matrix, which projectors are blind to.
     """
-    u = _complete_basis(basis)
-    d = u.shape[0]
-    w = u.copy()
+    d = basis.shape[0]
+    w = basis
     angles: list[float] = []
     for p, q in _planes(d):
         x, y = w[p, p], w[q, p]
@@ -171,11 +158,7 @@ def post_measurement_state(state: BipartiteState, m: ProjectiveMeasurement) -> B
     return BipartiteState(state.dims, rho.reshape(state.dim, state.dim))
 
 
-def dephase(rho, basis) -> np.ndarray:
-    """Remove off-diagonal terms of ``rho`` in the given complete basis."""
-    u = _complete_basis(basis)
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != u.shape:
-        raise DimensionMismatch(f"operator shape {m.shape} does not match basis {u.shape}")
-    diagonal = np.diag(u.conj().T @ m @ u).real
-    return (u * diagonal) @ u.conj().T
+def _dephase(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove off-diagonal terms of ``rho`` in the given unitary basis."""
+    diagonal = np.diag(basis.conj().T @ rho @ basis).real
+    return (basis * diagonal) @ basis.conj().T

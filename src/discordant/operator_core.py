@@ -102,10 +102,10 @@ def eig(matrix) -> EigenSystem:
     return EigenSystem(values, vectors, _degeneracy_groups(values))
 
 
-def matrix_log_on_support(matrix, clip: float = SUPPORT_CLIP) -> np.ndarray:
+def matrix_log_on_support(matrix) -> np.ndarray:
     """Base-2 logarithm of a PSD matrix, defined on its support.
 
-    Eigenvalues at or below ``clip`` map to 0 in the output (the null space is
+    Eigenvalues at or below SUPPORT_CLIP (1e-12) map to 0 in the output (the null space is
     dropped rather than sent to -inf); an eigenvalue below the -1e-10 floor
     raises NotPositiveSemidefinite.
     """
@@ -113,7 +113,7 @@ def matrix_log_on_support(matrix, clip: float = SUPPORT_CLIP) -> np.ndarray:
     values, vectors = np.linalg.eigh(m)
     if values.size and values[0] < PSD_FLOOR:
         raise NotPositiveSemidefinite(f"eigenvalue {values[0]:.3e} below {PSD_FLOOR:.1e}")
-    logs = np.where(values > clip, np.log2(np.maximum(values, clip)), 0.0)
+    logs = np.where(values > SUPPORT_CLIP, np.log2(np.maximum(values, SUPPORT_CLIP)), 0.0)
     out = (vectors * logs) @ vectors.conj().T
     return (out + out.conj().T) / 2
 

@@ -15,13 +15,13 @@ from scipy.optimize import minimize
 
 from discordant import (
     OptimizerConfig,
+    ProjectiveMeasurement,
     cerf_adami_conditional_entropy,
     classify_zero_discord,
     conditional_entropy_after_measurement,
     discord_d1_at,
     discord_d2_at,
     discord_d3,
-    from_parameters,
     information_function,
     mutual_information,
     one_way_purification_rate,
@@ -201,7 +201,7 @@ def test_criterion_5_identity_suite():
              "purification": 0.0, "work-L": 0.0, "work-2": 0.0, "work-3": 0.0}
     for i in range(100):
         state = random_state((2, 2), rank=1 + i % 4, seed=30_000 + i)
-        m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+        m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
 
         measured = discord_d1_at(state, m)
         worst["J=I(post)"] = max(

@@ -2,9 +2,10 @@ import inspect
 
 import discordant
 
-# Every name here computes a quantity of the paper or is used by the CLI,
-# another module, an acceptance criterion or the benchmark. Adding or removing
-# one changes the library surface.
+# Every name here computes a quantity of the paper or is used by the CLI, an
+# acceptance criterion or the benchmark. A helper that only other modules of
+# the package call stays private. Adding or removing a name changes the
+# library surface.
 PUBLIC_NAMES = {
     # submodules
     "correlations", "demon", "discord", "documents", "exceptions", "measurement",
@@ -12,7 +13,7 @@ PUBLIC_NAMES = {
     # errors
     "BadParameterCount", "BadRank", "BadWeights", "DimensionMismatch", "DiscordantError",
     "DocumentError", "IncompleteBasis", "InvalidParameters", "NonHermitian",
-    "NonOrthogonalBasis", "NotDensityMatrix", "NotPositiveSemidefinite", "SupportMismatch",
+    "NonOrthogonalBasis", "NotDensityMatrix", "NotPositiveSemidefinite",
     # states and documents
     "BipartiteState", "PureStateEnsemble", "bell_mixture", "classical_classical_state",
     "example_state", "random_state", "teahouse_ensemble", "teahouse_vectors",
@@ -20,8 +21,7 @@ PUBLIC_NAMES = {
     "loads_document", "parse_document", "state_to_document",
     # operators and measurements
     "EigenSystem", "commutator_norm", "eig", "matrix_log_on_support", "partial_trace",
-    "ProjectiveMeasurement", "dephase", "from_parameters", "parameters_for_basis",
-    "post_measurement_state",
+    "ProjectiveMeasurement", "post_measurement_state",
     # entropies and correlations
     "StateEntropies", "cerf_adami_conditional_entropy", "cerf_adami_operator",
     "conditional_entropy_after_measurement", "information_function", "mutual_information",

@@ -3,13 +3,12 @@ import pytest
 
 from discordant import (
     NotDensityMatrix,
+    BipartiteState,
     ProjectiveMeasurement,
-    SupportMismatch,
     cerf_adami_conditional_entropy,
     cerf_adami_operator,
     conditional_entropy_after_measurement,
     discord_d1_at,
-    from_parameters,
     information_function,
     mutual_information,
     one_way_purification_rate,
@@ -17,6 +16,7 @@ from discordant import (
     von_neumann_entropy,
 )
 from discordant.correlations import entropy_of_eigenvalues, state_entropies
+from discordant.measurement import basis_from_parameters
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
@@ -128,7 +128,7 @@ class TestMutualInformation:
 class TestConditionalEntropyAfterMeasurement:
     def test_example_state_z(self):
         state = example_state(0.5, 0.5)
-        m = from_parameters(np.zeros(2), 2)
+        m = ProjectiveMeasurement("A", np.eye(2))
         assert conditional_entropy_after_measurement(state, m) == pytest.approx(1.0, abs=1e-12)
 
     def test_example_state_x(self):
@@ -143,7 +143,7 @@ class TestConditionalEntropyAfterMeasurement:
         state = zero_discord_state([1.0], np.eye(2)[:1], [rho_b])
         rng = np.random.default_rng(13)
         for _ in range(5):
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             assert conditional_entropy_after_measurement(state, m) == pytest.approx(
                 state_entropy(rho_b), abs=1e-10
             )
@@ -187,14 +187,6 @@ class TestCerfAdamiOperator:
         assert spectrum[0] >= -1e-10
         assert abs(np.trace(operator).real - 1.0) > 1e-3  # generally not unit trace
 
-    def test_support_mismatch_with_coarse_clip(self):
-        # A marginal eigenvalue below the clip leaves joint weight outside the
-        # retained support, which must be refused rather than projected away.
-        state = zero_discord_state([0.995, 0.005], np.eye(2), [np.eye(2) / 2, np.eye(2) / 2])
-        with pytest.raises(SupportMismatch):
-            cerf_adami_operator(state, clip=0.01)
-
-
 class TestCerfAdamiConditionalEntropy:
     def test_bell_state_is_minus_one(self):
         assert cerf_adami_conditional_entropy(bell_mixture(1.0)) == pytest.approx(-1.0, abs=1e-9)
@@ -219,12 +211,21 @@ class TestCerfAdamiConditionalEntropy:
             expected = state_entropy(state.rho) - state_entropy(state.marginal("A"))
             assert cerf_adami_conditional_entropy(state) == pytest.approx(expected, abs=1e-9)
 
+    def test_marginal_eigenvalues_below_the_clip(self):
+        # 149 eigenvalues of rho_A = rho_AB sit below SUPPORT_CLIP; their total
+        # weight, 1.341e-10, is dropped from both logarithms alike.
+        rho = np.diag([1 - 149 * 9e-13] + [9e-13] * 149)
+        state = BipartiteState((150, 1), rho)
+        expected = state_entropy(state.rho) - state_entropy(state.marginal("A"))
+        assert expected == 0.0
+        assert cerf_adami_conditional_entropy(state) == pytest.approx(expected, abs=1e-12)
+
     def test_any_basis_identity(self):
         # S(rho_B|A) = S(B | measurement) - D1 at that measurement, in any basis.
         rng = np.random.default_rng(47)
         for trial in range(10):
             state = random_state((2, 2), rank=int(rng.integers(1, 5)), seed=600 + trial)
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             left = cerf_adami_conditional_entropy(state)
             right = conditional_entropy_after_measurement(state, m) - discord_d1_at(state, m).value
             assert left == pytest.approx(right, abs=1e-9)
@@ -248,7 +249,7 @@ class TestPurificationRate:
     def test_zero_discord_at_eigenbasis_recovers_total(self):
         sigmas = [random_state((2, 1), seed=s).rho for s in (53, 59)]
         state = zero_discord_state([0.3, 0.7], np.eye(2), sigmas)
-        rate = one_way_purification_rate(state, from_parameters(np.zeros(2), 2))
+        rate = one_way_purification_rate(state, ProjectiveMeasurement("A", np.eye(2)))
         total = information_function(state.rho)
         assert rate == pytest.approx(total, abs=1e-9)
 
@@ -256,13 +257,13 @@ class TestPurificationRate:
         bell = bell_mixture(1.0)
         rng = np.random.default_rng(61)
         for _ in range(5):
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             assert one_way_purification_rate(bell, m) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state(self):
         rho_b = random_state((2, 1), seed=67).rho
         state = zero_discord_state([1.0], np.eye(2)[:1], [rho_b])
-        m = from_parameters(np.zeros(2), 2)
+        m = ProjectiveMeasurement("A", np.eye(2))
         assert one_way_purification_rate(state, m) == pytest.approx(
             information_function(state.rho), abs=1e-9
         )

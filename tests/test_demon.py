@@ -108,7 +108,7 @@ class TestWorkLedger:
         assert scaled.d2.value == unit.d2.value  # the D2 report stays in bits
 
     def test_rejects_bad_kt(self):
-        for kt in (-1.0, 0.0, float("nan"), float("inf")):
+        for kt in (-1.0, 0.0, float("nan"), float("inf"), "1", None, True):
             with pytest.raises(InvalidParameters):
                 work_ledger(bell_mixture(1.0), kt=kt)
             with pytest.raises(InvalidParameters):

@@ -17,7 +17,6 @@ from discordant import (
     discord_d2_at,
     discord_d3,
     discord_d3_symmetric,
-    from_parameters,
     mutual_information,
     optimize_discord,
     post_measurement_state,
@@ -71,13 +70,13 @@ class TestMeasurementFixedValues:
     def test_zero_discord_at_defining_basis(self):
         sigmas = [random_state((2, 1), seed=s).rho for s in (71, 73)]
         state = zero_discord_state([0.3, 0.7], np.eye(2), sigmas)
-        assert discord_d1_at(state, from_parameters(np.zeros(2), 2)).value == pytest.approx(
+        assert discord_d1_at(state, ProjectiveMeasurement("A", np.eye(2))).value == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_example_state_at_z(self):
         state = example_state(0.5, 0.5)
-        result = discord_d1_at(state, from_parameters(np.zeros(2), 2))
+        result = discord_d1_at(state, ProjectiveMeasurement("A", np.eye(2)))
         assert result.value == pytest.approx(D1_AT_Z_EXAMPLE, abs=1e-12)
         assert result.j_value == pytest.approx(0.0, abs=1e-12)
 
@@ -85,7 +84,7 @@ class TestMeasurementFixedValues:
         bell = bell_mixture(1.0)
         rng = np.random.default_rng(79)
         for _ in range(5):
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             assert discord_d1_at(bell, m).value == pytest.approx(1.0, abs=1e-10)
 
     def test_d2_at_marginal_eigenbasis_equals_d1(self):
@@ -109,7 +108,7 @@ class TestMeasurementFixedValues:
         rng = np.random.default_rng(83)
         for trial in range(20):
             state = random_state((2, 2), rank=int(rng.integers(1, 5)), seed=1100 + trial)
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             s_a = state_entropy(state.marginal("A"))
             gap = outcome_entropy(state, m) - s_a
             assert discord_d1_at(state, m).value == pytest.approx(
@@ -120,7 +119,7 @@ class TestMeasurementFixedValues:
         rng = np.random.default_rng(89)
         for trial in range(10):
             state = random_state((2, 3), rank=int(rng.integers(1, 7)), seed=1300 + trial)
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             j = discord_d1_at(state, m).j_value
             assert j == pytest.approx(
                 mutual_information(post_measurement_state(state, m)), abs=1e-9
@@ -194,6 +193,19 @@ class TestOptimizer:
         )
         assert serial.value == threaded.value
         assert serial.diagnostics.best_per_restart == threaded.diagnostics.best_per_restart
+
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 0), ("restarts", 2.5), ("restarts", float("inf")), ("restarts", float("nan")),
+        ("restarts", True), ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", None),
+        ("threads", 0), ("threads", 2.0), ("threads", False),
+    ])
+    def test_config_requires_integers_at_or_above_floor(self, field, value):
+        with pytest.raises(InvalidParameters, match=f"^{field} must be "):
+            OptimizerConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = OptimizerConfig(restarts=np.int64(2), seed=np.uint32(7), threads=np.int8(1))
+        assert (config.restarts, config.seed, config.threads) == (2, 7, 1)
 
     def test_side_b(self):
         # The example family is classically conditioned on B, so D1 on side B vanishes.

@@ -573,3 +573,97 @@ class TestTable1:
         result = invoke("table1", "--restarts", "4")
         assert result.exit_code == 0
         assert "cited" in result.output
+
+
+def _key_tree(value):
+    """``value`` with every number, string, bool and null replaced by None.
+
+    A list that holds lists or objects keeps one entry per element, so a
+    measurement basis keeps its d x d shape; any other list is a leaf.
+    """
+    if isinstance(value, dict):
+        return {key: _key_tree(item) for key, item in value.items()}
+    if isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        return [_key_tree(item) for item in value]
+    return None
+
+
+QUBIT_MEASUREMENT = {"basis": [[None, None], [None, None]], "subsystem": None}
+DIAGNOSTICS = dict.fromkeys((
+    "best_per_restart", "converged", "degenerate_marginal", "function_evaluations",
+    "restarts_used", "restricted_infimum",
+))
+
+
+def _report_tree(measurement):
+    return {
+        "diagnostics": DIAGNOSTICS, "j_value": None, "measure": None,
+        "optimal_measurement": measurement, "value": None,
+    }
+
+
+def _verdict_tree(witness):
+    verdict = dict.fromkeys(("commutator_norm", "method", "residual_discord", "verdict"))
+    return {**verdict, "witness": witness}
+
+
+LEDGER_TREE = {
+    **dict.fromkeys(("delta_2", "delta_3", "delta_L", "kT", "w2", "w3", "w_local", "w_plus")),
+    "measurement_w2": QUBIT_MEASUREMENT,
+}
+IDENTITY = dict.fromkeys(("left", "residual", "right", "tolerance"))
+
+
+def _analysis_tree(witness_a, witness_b):
+    return {
+        "classification": {"A": _verdict_tree(witness_a), "B": _verdict_tree(witness_b)},
+        "demon": LEDGER_TREE,
+        "discord": {
+            "d1": _report_tree(QUBIT_MEASUREMENT), "d2": _report_tree(QUBIT_MEASUREMENT),
+            "d3": _report_tree(None), "d3sym": _report_tree(None),
+        },
+        "entropies": dict.fromkeys(("mutual_information", "s_a", "s_ab", "s_b")),
+        "identities": dict.fromkeys(
+            ["conditional_operator_entropy", "d1_vs_d2_at_optimal_basis",
+             "work_vs_mutual_information", "work_vs_one_way_deficit"], IDENTITY,
+        ),
+        "notes": None,
+        "settings": dict.fromkeys(("restarts", "seed", "threads", "tolerance")),
+        "state": dict.fromkeys(("dims", "purity", "spectrum_a", "spectrum_ab", "spectrum_b")),
+        "warnings": None,
+    }
+
+
+EXAMPLE = ("--family", "example_state", "--param", "b=0.5", "--param", "c=0.5")
+BELL = ("--family", "bell_mixture", "--param", "a=0.3")
+TABLE1_ROW = dict.fromkeys(("d1_a", "d1_b", "locally_measurable", "notes", "states"))
+
+
+class TestJsonKeyTree:
+    """The keys and nesting of every --json output: the half of the
+    byte-identity contract that does not depend on the machine's arithmetic."""
+
+    @pytest.mark.parametrize("args, exit_code, tree", [
+        (("analyze", *EXAMPLE), 0, _analysis_tree(None, QUBIT_MEASUREMENT)),
+        (("analyze", "--input", "{explicit_bell}"), 0, _analysis_tree(None, None)),
+        (("discord", *BELL, "--measure", "D1"), 0, _report_tree(QUBIT_MEASUREMENT)),
+        (("discord", *BELL, "--measure", "D2"), 0, _report_tree(QUBIT_MEASUREMENT)),
+        (("discord", *BELL, "--measure", "D3"), 0, _report_tree(None)),
+        (("discord", *BELL, "--measure", "D3SYM"), 0, _report_tree(None)),
+        (("demon", *BELL), 0, LEDGER_TREE),
+        (("classify", "--family", "classical_classical", "--param", "weights=[[0.5, 0], [0, 0.5]]"),
+         0, _verdict_tree(QUBIT_MEASUREMENT)),
+        (("classify", *BELL), 1, _verdict_tree(None)),
+        (("table1",), 0, {"locally_measurable_source": None, "rows": [TABLE1_ROW] * 4}),
+    ], ids=["analyze_family", "analyze_explicit_degenerate", "discord_d1", "discord_d2",
+            "discord_d3", "discord_d3sym", "demon", "classify_zero", "classify_nonzero", "table1"])
+    def test_key_tree(self, tmp_path, args, exit_code, tree):
+        # The explicit Bell mixture has maximally mixed, hence degenerate, marginals.
+        path = tmp_path / "bell.json"
+        path.write_text(dumps_document(state_to_document(bell_mixture(0.3))))
+        args = [str(path) if arg == "{explicit_bell}" else arg for arg in args]
+        if args[0] != "classify":
+            args += ["--restarts", "1"]
+        result = invoke(*args, "--json")
+        assert result.exit_code == exit_code
+        assert _key_tree(json.loads(result.output)) == tree

@@ -6,13 +6,16 @@ from discordant import (
     BadParameterCount,
     IncompleteBasis,
     ProjectiveMeasurement,
-    dephase,
-    from_parameters,
-    parameters_for_basis,
     post_measurement_state,
     von_neumann_entropy,
 )
-from discordant.measurement import _givens, basis_from_parameters, conditional_blocks
+from discordant.measurement import (
+    _dephase,
+    _givens,
+    _parameters_for_basis,
+    basis_from_parameters,
+    conditional_blocks,
+)
 from discordant.states import bell_mixture, example_state, random_state, zero_discord_state
 
 from oracles import state_entropy
@@ -37,13 +40,21 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+class TestProjectiveMeasurement:
+    @pytest.mark.parametrize("basis", [np.array([[1.0, 0.0], [0.0, 0.5]]), np.ones((2, 3))],
+                             ids=["not_orthonormal", "not_square"])
+    def test_rejects_an_incomplete_basis(self, basis):
+        with pytest.raises(IncompleteBasis):
+            ProjectiveMeasurement("A", basis)
+
+
 class TestChart:
     def test_zero_parameters_is_computational(self):
-        m = from_parameters(np.zeros(2), 2)
+        m = ProjectiveMeasurement("A", basis_from_parameters(np.zeros(2), 2))
         np.testing.assert_allclose(m.basis, np.eye(2), atol=1e-14)
 
     def test_half_pi_is_x_basis(self):
-        m = from_parameters([np.pi / 2, 0.0], 2)
+        m = ProjectiveMeasurement("A", basis_from_parameters([np.pi / 2, 0.0], 2))
         expected = [np.outer(v, v.conj()) for v in X_BASIS.T]
         for got, want in zip(m.projectors, expected):
             np.testing.assert_allclose(got, want, atol=1e-14)
@@ -52,7 +63,8 @@ class TestChart:
         rng = np.random.default_rng(17)
         for d in (2, 3, 4):
             for _ in range(20):
-                m = from_parameters(rng.uniform(-np.pi, np.pi, d * (d - 1)), d)
+                basis = basis_from_parameters(rng.uniform(-np.pi, np.pi, d * (d - 1)), d)
+                m = ProjectiveMeasurement("A", basis)
                 projectors = m.projectors
                 total = sum(projectors)
                 np.testing.assert_allclose(total, np.eye(d), atol=1e-10)
@@ -79,18 +91,14 @@ class TestChart:
 
     def test_parameter_count(self):
         with pytest.raises(BadParameterCount):
-            from_parameters(np.zeros(3), 2)
-
-    def test_parameters_for_basis_rejects_an_incomplete_basis(self):
-        with pytest.raises(IncompleteBasis):
-            parameters_for_basis(np.array([[1.0, 0.0], [0.0, 0.5]]))
+            basis_from_parameters(np.zeros(3), 2)
 
     def test_parameters_for_basis_roundtrip(self):
         rng = np.random.default_rng(23)
         for d in (2, 3, 4):
             for _ in range(25):
                 target = random_unitary(rng, d)
-                rebuilt = basis_from_parameters(parameters_for_basis(target), d)
+                rebuilt = basis_from_parameters(_parameters_for_basis(target), d)
                 for k in range(d):
                     got = np.outer(rebuilt[:, k], rebuilt[:, k].conj())
                     want = np.outer(target[:, k], target[:, k].conj())
@@ -124,7 +132,7 @@ class TestChart:
 class TestConditionalState:
     def test_example_state_z_outcomes(self):
         state = example_state(0.5, 0.5)
-        m = from_parameters(np.zeros(2), 2)
+        m = ProjectiveMeasurement("A", np.eye(2))
         for outcome, expected_p in ((0, 0.75), (1, 0.25)):
             p, cond = conditional_state(state, m, outcome)
             assert p == pytest.approx(expected_p, abs=1e-12)
@@ -151,14 +159,14 @@ class TestPostMeasurementState:
     def test_zero_discord_fixed_point(self):
         sigmas = [random_state((2, 1), seed=s).rho for s in (31, 32)]
         state = zero_discord_state([0.25, 0.75], np.eye(2), sigmas)
-        after = post_measurement_state(state, from_parameters(np.zeros(2), 2))
+        after = post_measurement_state(state, ProjectiveMeasurement("A", np.eye(2)))
         np.testing.assert_allclose(after.rho, state.rho, atol=1e-12)
 
     def test_bell_state_any_measurement_gives_one_bit(self):
         bell = bell_mixture(1.0)
         rng = np.random.default_rng(37)
         for _ in range(5):
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             after = post_measurement_state(bell, m)
             assert von_neumann_entropy(after.rho) == pytest.approx(1.0, abs=1e-10)
 
@@ -173,7 +181,8 @@ class TestPostMeasurementState:
             state = random_state((2, 3), rank=int(rng.integers(1, 7)), seed=500 + trial)
             for side, kept in (("A", "B"), ("B", "A")):
                 d = state.dims[0] if side == "A" else state.dims[1]
-                m = from_parameters(rng.uniform(0, np.pi, d * (d - 1)), d, subsystem=side)
+                basis = basis_from_parameters(rng.uniform(0, np.pi, d * (d - 1)), d)
+                m = ProjectiveMeasurement(side, basis)
                 after = post_measurement_state(state, m)
                 np.testing.assert_allclose(
                     after.marginal(kept), state.marginal(kept), atol=1e-10
@@ -184,7 +193,7 @@ class TestPostMeasurementState:
         rng = np.random.default_rng(43)
         for trial in range(20):
             state = random_state((2, 2), rank=int(rng.integers(1, 5)), seed=900 + trial)
-            m = from_parameters(rng.uniform(0, np.pi, 2), 2)
+            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
             blocks = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)
             probs = [float(np.trace(block).real) for block in blocks]
             conditional = sum(
@@ -198,22 +207,18 @@ class TestPostMeasurementState:
 class TestDephase:
     def test_diagonal_unchanged(self):
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        np.testing.assert_allclose(dephase(rho, np.eye(3)), rho, atol=1e-14)
+        np.testing.assert_allclose(_dephase(rho, np.eye(3)), rho, atol=1e-14)
 
     def test_plus_state_to_maximally_mixed(self):
         plus = np.outer(PLUS, PLUS)
-        np.testing.assert_allclose(dephase(plus, np.eye(2)), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(_dephase(plus, np.eye(2)), np.eye(2) / 2, atol=1e-14)
 
     def test_idempotent_and_trace_preserving(self):
         rng = np.random.default_rng(47)
         rho = random_state((2, 2), seed=53).rho
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         basis, _ = np.linalg.qr(z)
-        once = dephase(rho, basis)
-        twice = dephase(once, basis)
+        once = _dephase(rho, basis)
+        twice = _dephase(once, basis)
         np.testing.assert_allclose(twice, once, atol=1e-12)
         assert np.trace(once).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_incomplete_basis(self):
-        with pytest.raises(IncompleteBasis):
-            dephase(np.eye(2) / 2, np.array([[1.0, 0.0], [0.0, 0.5]]))
