@@ -65,17 +65,24 @@ def mutual_information(state: BipartiteState) -> float:
     return state_entropies(state).mutual_information
 
 
+def _measured_entropy(blocks: np.ndarray):
+    """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)) of the
+    stacked ``conditional_blocks`` of one measurement."""
+    probs = np.einsum("kii->k", blocks).real
+    spectra = np.linalg.eigvalsh(blocks)
+    s_conditional = 0.0
+    for p, spectrum in zip(probs, spectra):
+        if p > OUTCOME_CLIP:
+            s_conditional += p * entropy_of_eigenvalues(spectrum / p)
+    return probs, spectra, s_conditional
+
+
 def conditional_entropy_after_measurement(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     """Average entropy of the unmeasured side over the measurement outcomes:
     sum_a p_a S(rho_other | outcome a)."""
     _check_dims(state, m)
     blocks = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)
-    total = 0.0
-    for block in blocks:
-        p = float(np.trace(block).real)
-        if p > OUTCOME_CLIP:
-            total += p * entropy_of_eigenvalues(np.linalg.eigvalsh(block) / p)
-    return total
+    return float(_measured_entropy(blocks)[2])
 
 
 def cerf_adami_operator(state: BipartiteState) -> np.ndarray:

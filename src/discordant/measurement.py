@@ -24,6 +24,7 @@ from functools import reduce
 import numpy as np
 
 from .exceptions import BadParameterCount, DimensionMismatch, IncompleteBasis
+from .operator_core import _side
 from .states import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -35,20 +36,19 @@ class ProjectiveMeasurement:
     """Complete family of rank-1 orthogonal projectors on one subsystem.
 
     ``basis`` columns are the measured directions; projector a is the outer
-    product of column a with itself. A basis that is not square with
-    orthonormal columns within 1e-10 raises IncompleteBasis.
+    product of column a with itself. A basis that is not square and nonempty
+    with orthonormal columns within 1e-10 raises IncompleteBasis; a subsystem
+    other than "A" or "B" raises InvalidParameters.
     """
 
     subsystem: str
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        side = str(self.subsystem).upper()
-        if side not in ("A", "B"):
-            raise DimensionMismatch(f"subsystem must be 'A' or 'B', got {self.subsystem!r}")
+        side = _side(self.subsystem)
         u = np.array(self.basis, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise IncompleteBasis(f"basis must be square, got shape {u.shape}")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+            raise IncompleteBasis(f"basis must be square and nonempty, got shape {u.shape}")
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
             raise IncompleteBasis("projector family does not resolve the identity")
         u.flags.writeable = False

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonHermitian, NotPositiveSemidefinite
+from .exceptions import DimensionMismatch, InvalidParameters, NonHermitian, NotPositiveSemidefinite
 
 HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -118,22 +118,29 @@ def matrix_log_on_support(matrix) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def _side(side) -> str:
+    """``side`` as "A" or "B", case-insensitively; anything else raises InvalidParameters."""
+    name = str(side).upper()
+    if name not in ("A", "B"):
+        raise InvalidParameters(f"side must be 'A' or 'B', got {side!r}")
+    return name
+
+
 def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on a (d_A x d_B) composite.
 
-    ``keep`` selects the surviving subsystem, "A" or "B".
+    ``keep`` selects the surviving subsystem, "A" or "B"; anything else raises
+    InvalidParameters.
     """
+    side = _side(keep)
     d_a, d_b = int(dims[0]), int(dims[1])
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (d_a * d_b, d_a * d_b):
         raise DimensionMismatch(f"operator shape {m.shape} incompatible with dims {dims}")
     r = m.reshape(d_a, d_b, d_a, d_b)
-    side = str(keep).upper()
     if side == "A":
         return np.einsum("ibjb->ij", r)
-    if side == "B":
-        return np.einsum("aiaj->ij", r)
-    raise DimensionMismatch(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("aiaj->ij", r)
 
 
 def commutator_norm(x, y) -> float:

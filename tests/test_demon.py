@@ -5,9 +5,13 @@ from discordant import (
     InvalidParameters,
     NotDensityMatrix,
     OptimizerConfig,
+    ProjectiveMeasurement,
+    conditional_entropy_after_measurement,
+    discord_d2_at,
     discord_d3,
     mutual_information,
     optimize_discord,
+    post_measurement_state,
     work_ledger,
     work_single,
 )
@@ -18,6 +22,8 @@ from discordant.states import (
     random_state,
     zero_discord_state,
 )
+
+import oracles
 
 D2_EXAMPLE = 0.19956198165357186
 D3_EXAMPLE = 0.21040208776627678
@@ -118,8 +124,34 @@ class TestWorkLedger:
         # kT is finite, but kT times the work is not.
         with pytest.raises(InvalidParameters):
             work_ledger(bell_mixture(1.0), kt=1e308, config=OptimizerConfig(restarts=1))
+        with pytest.raises(InvalidParameters):
+            work_single(np.diag([1.0, 0.0, 0.0, 0.0]), kt=1e308)
 
     def test_w2_measurement_reported(self):
         ledger = work_ledger(example_state(0.5, 0.5), config=FAST)
         assert ledger.d2.optimal_measurement.subsystem == "A"
         assert ledger.d2.optimal_measurement.d == 2
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 4)])
+def test_engine_identities_beyond_qubits(dims):
+    # The identities behind the ledger and D2, each computed once at run time,
+    # checked here against the independent oracles at Haar-random bases.
+    rng = np.random.default_rng(4100 + 10 * dims[0] + dims[1])
+    state = random_state(dims, seed=int(rng.integers(1 << 30)))
+    s_ab = oracles.state_entropy(state.rho)
+    for side, d in zip("AB", dims):
+        basis = oracles.haar_bases(1, d, rng)[0]
+        m = ProjectiveMeasurement(side, basis)
+        s_post = oracles.state_entropy(post_measurement_state(state, m).rho)
+        assert discord_d2_at(state, m) + s_ab == pytest.approx(s_post, abs=1e-9)
+        marginal = oracles.loop_partial_trace(state.rho, dims, side)
+        outcome_entropy = oracles.entropy_bits(np.diag(basis.conj().T @ marginal @ basis).real)
+        oracle = oracles.measured_values(state.rho, dims, side, "D2", basis[None])[0] + s_ab - outcome_entropy
+        assert conditional_entropy_after_measurement(state, m) == pytest.approx(oracle, abs=1e-12)
+
+    ledger = work_ledger(state, config=OptimizerConfig(restarts=1))
+    information = sum(oracles.state_entropy(oracles.loop_partial_trace(state.rho, dims, k)) for k in "AB") - s_ab
+    assert ledger.delta_l == pytest.approx(information, abs=1e-9)
+    assert ledger.delta_2 == pytest.approx(ledger.d2.value, abs=1e-9)
+    assert ledger.delta_3 == pytest.approx(discord_d3(state).value, abs=1e-9)

@@ -555,6 +555,16 @@ class TestClassifier:
         assert verdict.verdict == "NONZERO"
         assert verdict.method == "COMMUTATOR"
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_noncommuting_blocks_prove_nonzero(self, side):
+        # Near the equal mixture the blocks fail to commute by 5e-5 while the
+        # discord, 1 - H2(a) = 2.9e-8, lies inside the residual's ambiguity band.
+        verdict = classify_zero_discord(bell_mixture(0.5001), side)
+        assert verdict.verdict == "NONZERO"
+        assert verdict.method == "EIGENSTRUCTURE"
+        assert verdict.witness is None
+        assert verdict.residual_discord == pytest.approx(bell_mixture_discord_closed_form(0.5001), abs=1e-12)
+
     def test_example_state_zero_on_b_side(self):
         verdict = classify_zero_discord(example_state(0.5, 0.5), "B")
         assert verdict.verdict == "ZERO"

@@ -464,6 +464,12 @@ class TestCliBasics:
         nonzero = invoke("classify", "--family", "bell_mixture", "--param", "a=0.3")
         assert nonzero.exit_code == 1
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_classify_noncommuting_blocks_exit_1(self, side):
+        result = invoke("classify", "--family", "bell_mixture", "--param", "a=0.5001", "--side", side)
+        assert result.exit_code == 1
+        assert "NONZERO" in result.output
+
     def test_classify_ambiguous_exit_4(self, tmp_path):
         from discordant import BipartiteState, zero_discord_state
 

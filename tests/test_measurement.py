@@ -41,8 +41,8 @@ def random_unitary(rng, d):
 
 
 class TestProjectiveMeasurement:
-    @pytest.mark.parametrize("basis", [np.array([[1.0, 0.0], [0.0, 0.5]]), np.ones((2, 3))],
-                             ids=["not_orthonormal", "not_square"])
+    @pytest.mark.parametrize("basis", [np.array([[1.0, 0.0], [0.0, 0.5]]), np.ones((2, 3)), np.zeros((0, 0))],
+                             ids=["not_orthonormal", "not_square", "empty"])
     def test_rejects_an_incomplete_basis(self, basis):
         with pytest.raises(IncompleteBasis):
             ProjectiveMeasurement("A", basis)

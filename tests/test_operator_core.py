@@ -4,15 +4,21 @@ from scipy.linalg import expm
 
 from discordant import (
     DimensionMismatch,
+    InvalidParameters,
     NonHermitian,
     NotPositiveSemidefinite,
+    OptimizerConfig,
+    ProjectiveMeasurement,
+    classify_zero_discord,
     commutator_norm,
+    discord_d3,
     eig,
     matrix_log_on_support,
+    optimize_discord,
     partial_trace,
 )
 from discordant.operator_core import require_hermitian
-from discordant.states import bell_psi, example_state, random_state
+from discordant.states import bell_mixture, bell_psi, example_state, random_state
 
 from oracles import loop_partial_trace
 
@@ -172,3 +178,16 @@ class TestCommutatorNorm:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             commutator_norm(np.eye(2), np.eye(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda side: ProjectiveMeasurement(side, np.eye(2)),
+    lambda side: partial_trace(np.eye(4) / 4, (2, 2), side),
+    lambda side: optimize_discord("D1", bell_mixture(0.25), side, OptimizerConfig(restarts=1)),
+    lambda side: discord_d3(bell_mixture(0.25), side),
+    lambda side: classify_zero_discord(bell_mixture(0.25), side),
+], ids=["measurement", "partial_trace", "optimize_discord", "discord_d3", "classify"])
+def test_every_side_is_checked_alike(call):
+    call("b")  # case-insensitive
+    with pytest.raises(InvalidParameters):
+        call("C")

@@ -121,10 +121,14 @@ def _calls(scratch: str) -> list[tuple[tuple[str, ...], str | None]]:
         calls += _source_calls(source)
         calls += _source_calls(("--input", explicit))
     bell = FAMILY_SOURCES["bell_0.25"]
+    # Blocks that fail to commute by 5e-5 while the discord is 2.9e-8.
+    near_half = _family("bell_mixture", a=0.5001)
     calls += [
         ("states", "emit", "bell_mixture", "--param", "a=0.25", "-o", os.path.join(scratch, "out.json")),
         ("classify", "--input", os.path.join(scratch, "out.json")),
         ("classify", *bell),
+        ("classify", *near_half, "--side", "A", "--json"),
+        ("classify", *near_half, "--side", "B", "--json"),
         ("discord", *bell, *RESTARTS),
         ("discord", *FAMILY_SOURCES["example_b0"], "--measure", "D3", *RESTARTS),
         ("demon", *bell, "--kt", "2.5", *RESTARTS),
