@@ -10,8 +10,10 @@ other library error raised after loading), 4 AMBIGUOUS (classify). One
 boundary, ``main``'s invoke, maps library errors to exit codes. Optimizer
 settings come from the --seed and --restarts flags only; the simplex tolerance
 is the fixed ``SIMPLEX_TOLERANCE``. --json writes the library's report
-dataclasses as they are, with measurement bases as rows of [re, im] pairs. Each
-printed search that did not converge adds one ``warning:`` line on stderr.
+dataclasses as they are, with measurement bases as rows of [re, im] pairs;
+analyze re-derives no identity at run time, and its ``warnings`` list is always
+empty. Each printed search that did not converge adds one ``warning:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -24,21 +26,14 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-from .correlations import (
-    cerf_adami_conditional_entropy,
-    conditional_entropy_after_measurement,
-    state_entropies,
-)
+from .correlations import state_entropies
 from .demon import WorkLedger, work_ledger
 from .discord import (
     SIMPLEX_TOLERANCE,
     DiscordReport,
     OptimizerConfig,
-    _entropy_profile,
     classify_zero_discord,
     bell_mixture_discord_closed_form,
-    discord_d1_at,
-    discord_d2_at,
     discord_d3,
     discord_d3_symmetric,
     optimize_discord,
@@ -60,8 +55,6 @@ EXIT_NONZERO = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_AMBIGUOUS = 4
-
-IDENTITY_TOL = 1e-7
 
 CLOSED_FORM_NOTE = (
     "Bell-mixture closed form: D(a) = 1 + a*log2(a) + (1-a)*log2(1-a) = 1 - H2(a), "
@@ -186,36 +179,6 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
     ledger = work_ledger(state, kt=1.0, config=config)
     d2 = _warned(ledger.d2)
 
-    warnings: list[str] = []
-
-    def _identity(name: str, left: float, right: float) -> dict:
-        residual = abs(left - right)
-        if residual > IDENTITY_TOL:
-            warnings.append(f"WARN identity {name} residual {residual:.3e} exceeds {IDENTITY_TOL:.1e}")
-        return {"left": left, "right": right, "residual": residual, "tolerance": IDENTITY_TOL}
-
-    check = d2.optimal_measurement
-    h_check, _, _ = _entropy_profile(state, check.basis, check.subsystem)
-    identities = {
-        "d1_vs_d2_at_optimal_basis": _identity(
-            "d1_vs_d2_at_optimal_basis",
-            discord_d1_at(state, check).value,
-            discord_d2_at(state, check) - (h_check - entropies.s_a),
-        ),
-        "conditional_operator_entropy": _identity(
-            "conditional_operator_entropy",
-            cerf_adami_conditional_entropy(state),
-            conditional_entropy_after_measurement(state, d1.optimal_measurement)
-            - discord_d1_at(state, d1.optimal_measurement).value,
-        ),
-        "work_vs_mutual_information": _identity(
-            "work_vs_mutual_information", ledger.delta_l, ledger.kt * entropies.mutual_information
-        ),
-        "work_vs_one_way_deficit": _identity(
-            "work_vs_one_way_deficit", ledger.delta_2, ledger.kt * d2.value
-        ),
-    }
-
     notes = []
     if document.is_family and document.family == "bell_mixture":
         a = float(document.parameters.get("a"))
@@ -244,9 +207,8 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         },
         "classification": {side: asdict(v) for side, v in verdicts.items()},
         "demon": _ledger_payload(ledger),
-        "identities": identities,
         "notes": notes,
-        "warnings": warnings,
+        "warnings": [],
         "settings": {**asdict(config), "tolerance": SIMPLEX_TOLERANCE},
     }
     report["_timing_seconds"] = time.perf_counter() - started
@@ -292,8 +254,6 @@ def _render_analysis(report: dict) -> None:
     click.echo(
         f"           dL {_fmt(w['delta_L'])}  d2 {_fmt(w['delta_2'])}  d3 {_fmt(w['delta_3'])}"
     )
-    for warning in report["warnings"]:
-        click.echo(warning)
     for note in report["notes"]:
         click.echo(f"note: {note}")
     click.echo(f"elapsed: {report['_timing_seconds']:.2f} s")

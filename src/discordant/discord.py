@@ -100,7 +100,12 @@ class DiscordReport:
 
 @dataclass
 class ZeroDiscordVerdict:
-    """Outcome of the zero-discord test with its evidence."""
+    """Outcome of the zero-discord test with its evidence.
+
+    ``commutator_norm`` is the commutator that decided the verdict: the
+    blocks' largest pairwise commutator when they prove NONZERO for a
+    degenerate marginal, else that of the lifted marginal with the state.
+    """
 
     verdict: str
     commutator_norm: float
@@ -364,7 +369,7 @@ def classify_zero_discord(state: BipartiteState, side: str = "A") -> ZeroDiscord
             # No basis diagonalizes the whole family, so the discord is
             # nonzero; the residual at the eigenbasis is only an upper bound.
             upper_bound = discord_d1_at(state, ProjectiveMeasurement(side, system.eigenvectors)).value
-            return ZeroDiscordVerdict(VERDICT_NONZERO, c_norm, upper_bound, method)
+            return ZeroDiscordVerdict(VERDICT_NONZERO, block_commutator, upper_bound, method)
         blocks_clean = block_commutator <= COMMUTATOR_TOL
         witness_basis = _simultaneous_eigenbasis(blocks, marginal.shape[0])
         if witness_basis is None:

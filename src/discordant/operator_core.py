@@ -40,9 +40,11 @@ def require_hermitian(matrix) -> np.ndarray:
 class EigenSystem:
     """Spectral data of a Hermitian operator.
 
-    eigenvalues are ascending; eigenvectors are the matching orthonormal columns;
-    degeneracy_groups partitions the indices into runs whose adjacent eigenvalues
-    differ by less than DEGENERACY_GAP.
+    eigenvalues ascend from one degeneracy group to the next, but not always
+    inside a group, whose columns are reordered; eigenvectors are the matching
+    orthonormal columns; degeneracy_groups partitions the indices into runs
+    whose adjacent eigenvalues, in the eigensolver's ascending order, differ by
+    less than DEGENERACY_GAP.
     """
 
     eigenvalues: np.ndarray
@@ -80,9 +82,10 @@ def _degeneracy_groups(values: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def eig(matrix) -> EigenSystem:
     """Eigendecompose a Hermitian matrix with a deterministic output convention.
 
-    Eigenvalues ascend; each eigenvector's first significant component is made
-    real positive; within a degeneracy group, columns are ordered by the
-    lexicographic order of their (phase-fixed) entries.
+    Each eigenvector's first significant component is made real positive; the
+    degeneracy groups are found once, on the ascending values, and within a
+    group columns are ordered by the lexicographic order of their (phase-fixed)
+    entries.
     """
     m = require_hermitian(matrix)
     values, vectors = np.linalg.eigh(m)
@@ -99,7 +102,7 @@ def eig(matrix) -> EigenSystem:
     vectors = vectors[:, order]
     values.flags.writeable = False
     vectors.flags.writeable = False
-    return EigenSystem(values, vectors, _degeneracy_groups(values))
+    return EigenSystem(values, vectors, groups)
 
 
 def matrix_log_on_support(matrix) -> np.ndarray:

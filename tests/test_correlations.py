@@ -25,7 +25,7 @@ from discordant.states import (
     zero_discord_state,
 )
 
-from oracles import shannon_mutual_information, state_entropy
+from oracles import haar_bases, shannon_mutual_information, state_entropy
 
 H2_QUARTER = 0.8112781244591328
 S_AB_EXAMPLE = 1.600876036692856
@@ -221,11 +221,22 @@ class TestCerfAdamiConditionalEntropy:
         assert cerf_adami_conditional_entropy(state) == pytest.approx(expected, abs=1e-12)
 
     def test_any_basis_identity(self):
-        # S(rho_B|A) = S(B | measurement) - D1 at that measurement, in any basis.
+        # S(rho_B|A) = S(B | measurement) - D1 at that measurement, in any basis:
+        # qubit pairs at chart points, larger dimensions at Haar bases, and a
+        # classical state whose A marginal diag(1, 0) has a null space.
         rng = np.random.default_rng(47)
-        for trial in range(10):
-            state = random_state((2, 2), rank=int(rng.integers(1, 5)), seed=600 + trial)
-            m = ProjectiveMeasurement("A", basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
+        cases = [
+            (random_state((2, 2), rank=int(rng.integers(1, 5)), seed=600 + trial),
+             basis_from_parameters(rng.uniform(0, np.pi, 2), 2))
+            for trial in range(10)
+        ]
+        for seed, dims in enumerate([(2, 3), (3, 2), (3, 3)]):
+            state = random_state(dims, seed=610 + seed)
+            cases += [(state, basis) for basis in haar_bases(3, dims[0], rng)]
+        null_a = classical_classical_state(np.array([[0.5, 0.5], [0.0, 0.0]]))
+        cases += [(null_a, basis) for basis in haar_bases(3, 2, rng)]
+        for state, basis in cases:
+            m = ProjectiveMeasurement("A", basis)
             left = cerf_adami_conditional_entropy(state)
             right = conditional_entropy_after_measurement(state, m) - discord_d1_at(state, m).value
             assert left == pytest.approx(right, abs=1e-9)

@@ -303,6 +303,22 @@ class TestD3:
         assert diagnostics.restricted_infimum <= report.value
         assert discord_d3(state).diagnostics == diagnostics
 
+    @pytest.mark.parametrize("labels", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    def test_restricted_infimum_is_invariant_under_relabelling(self, labels):
+        # (1/3) sum_k |f_k><f_k| x sigma_k is classical in a real basis f,
+        # plus diag(6e-9, -6e-9, 0) x I/2, so rho_A is the near-degenerate
+        # chain 1/3 + (6e-9, -6e-9, 0) and the eigenbasis is far from f. Each
+        # cyclic relabelling of A must search all three planes and reach D1 ~ 0.
+        f = [np.array([1, 1, 1]) / np.sqrt(3), np.array([0, 1, -1]) / np.sqrt(2),
+             np.array([-2, 1, 1]) / np.sqrt(6)]
+        b = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / np.sqrt(2)]
+        rho = sum(np.kron(np.outer(fk, fk), np.outer(bk, bk) / 2 + np.eye(2) / 4) for fk, bk in zip(f, b)) / 3
+        rho = rho + np.kron(np.diag([6e-9, -6e-9, 0.0]), np.eye(2) / 2)
+        relabel = np.kron(np.eye(3)[list(labels)], np.eye(2))
+        report = discord_d3(BipartiteState((3, 2), relabel @ rho @ relabel.T))
+        assert report.value > 0.1
+        assert report.diagnostics.restricted_infimum == pytest.approx(0.0, abs=1e-9)
+
     def test_non_degenerate_marginal_keeps_fixed_basis_diagnostics(self):
         assert discord_d3(example_state(0.5, 0.5)).diagnostics == OptimizerDiagnostics()
 
@@ -564,6 +580,8 @@ class TestClassifier:
         assert verdict.method == "EIGENSTRUCTURE"
         assert verdict.witness is None
         assert verdict.residual_discord == pytest.approx(bell_mixture_discord_closed_form(0.5001), abs=1e-12)
+        # The deciding commutator is the blocks' |2a - 1|/4, not the marginal's 0.
+        assert verdict.commutator_norm == pytest.approx(5e-5, rel=1e-9)
 
     def test_example_state_zero_on_b_side(self):
         verdict = classify_zero_discord(example_state(0.5, 0.5), "B")

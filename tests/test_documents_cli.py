@@ -148,7 +148,7 @@ class TestCliBasics:
         report = json.loads(result.output)
         for key in (
             "state", "entropies", "discord", "classification", "demon",
-            "identities", "notes", "warnings", "settings",
+            "notes", "warnings", "settings",
         ):
             assert key in report
         assert report["warnings"] == []
@@ -469,6 +469,7 @@ class TestCliBasics:
         result = invoke("classify", "--family", "bell_mixture", "--param", "a=0.5001", "--side", side)
         assert result.exit_code == 1
         assert "NONZERO" in result.output
+        assert "commutator norm 5.000000e-05" in result.output
 
     def test_classify_ambiguous_exit_4(self, tmp_path):
         from discordant import BipartiteState, zero_discord_state
@@ -617,7 +618,6 @@ LEDGER_TREE = {
     **dict.fromkeys(("delta_2", "delta_3", "delta_L", "kT", "w2", "w3", "w_local", "w_plus")),
     "measurement_w2": QUBIT_MEASUREMENT,
 }
-IDENTITY = dict.fromkeys(("left", "residual", "right", "tolerance"))
 
 
 def _analysis_tree(witness_a, witness_b):
@@ -629,10 +629,6 @@ def _analysis_tree(witness_a, witness_b):
             "d3": _report_tree(None), "d3sym": _report_tree(None),
         },
         "entropies": dict.fromkeys(("mutual_information", "s_a", "s_ab", "s_b")),
-        "identities": dict.fromkeys(
-            ["conditional_operator_entropy", "d1_vs_d2_at_optimal_basis",
-             "work_vs_mutual_information", "work_vs_one_way_deficit"], IDENTITY,
-        ),
         "notes": None,
         "settings": dict.fromkeys(("restarts", "seed", "threads", "tolerance")),
         "state": dict.fromkeys(("dims", "purity", "spectrum_a", "spectrum_ab", "spectrum_b")),

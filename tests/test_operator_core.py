@@ -63,6 +63,14 @@ class TestEig:
         assert first.degeneracy_groups == ((0,), (1, 2))
         assert first.is_degenerate
 
+    def test_near_degenerate_chain_is_one_group(self):
+        # Gaps of 6e-9 chain the three values into one group. Reordering the
+        # columns inside it leaves 1/3 - 6e-9 ahead of 1/3 + 6e-9, a step up of
+        # 1.2e-8, which must not split the group.
+        system = eig(np.diag([1 / 3 + 6e-9, 1 / 3 - 6e-9, 1 / 3]))
+        assert system.degeneracy_groups == ((0, 1, 2),)
+        np.testing.assert_allclose(system.eigenvalues, [1 / 3, 1 / 3 - 6e-9, 1 / 3 + 6e-9], rtol=0, atol=1e-15)
+
     def test_phase_fixing(self):
         h = random_hermitian(np.random.default_rng(3), 4)
         vectors = eig(h).eigenvectors

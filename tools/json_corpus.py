@@ -13,7 +13,8 @@ differ, the lines).
 The package is imported from the ``src`` directory next to this script. The
 searches run at ``--restarts 2``. Human ``analyze`` output is left out, since
 its ``elapsed:`` line is wall time. The sources include states whose A
-marginal has a null space and states whose marginals are degenerate.
+marginal has a null space, states whose marginals are degenerate, and an
+explicit document whose A marginal is a near-degenerate chain.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
+import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
 from discordant.cli import main  # noqa: E402
@@ -80,6 +82,19 @@ FAMILY_SOURCES = {
     "random_2x1": _family("random", dims=[2, 1], seed=8),
 }
 
+
+def _chain_document() -> str:
+    """An explicit (3, 2) document whose A marginal is the near-degenerate chain
+    1/3 + (6e-9, -6e-9, 0): (1/3) sum_k |f_k><f_k| x sigma_k, classical in a
+    real basis f, plus diag(6e-9, -6e-9, 0) x I/2."""
+    f = [np.array([1, 1, 1]) / np.sqrt(3), np.array([0, 1, -1]) / np.sqrt(2), np.array([-2, 1, 1]) / np.sqrt(6)]
+    b = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / np.sqrt(2)]
+    rho = sum(np.kron(np.outer(fk, fk), np.outer(bk, bk) / 2 + np.eye(2) / 4) for fk, bk in zip(f, b)) / 3
+    rho = rho + np.kron(np.diag([6e-9, -6e-9, 0.0]), np.eye(2) / 2)
+    matrix = [[[float(x), 0.0] for x in row] for row in rho]
+    return json.dumps({"explicit": {"dims": [3, 2], "matrix": matrix}})
+
+
 ERROR_CALLS = [
     ("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--restarts", "0"),
     ("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--seed", "-1"),
@@ -129,6 +144,9 @@ def _calls(scratch: str) -> list[tuple[tuple[str, ...], str | None]]:
         ("classify", *bell),
         ("classify", *near_half, "--side", "A", "--json"),
         ("classify", *near_half, "--side", "B", "--json"),
+        # Reordering inside the chain's one group puts a 1.2e-8 step up in it.
+        ("discord", "--input", "{chain}", "--measure", "D3", "--json"),
+        ("classify", "--input", "{chain}", "--json"),
         ("discord", *bell, *RESTARTS),
         ("discord", *FAMILY_SOURCES["example_b0"], "--measure", "D3", *RESTARTS),
         ("demon", *bell, "--kt", "2.5", *RESTARTS),
@@ -150,11 +168,14 @@ def main_corpus() -> int:
             "{missing}": os.path.join(scratch, "missing.json"),
             "{malformed}": os.path.join(scratch, "malformed.json"),
             "{nan}": os.path.join(scratch, "nan.json"),
+            "{chain}": os.path.join(scratch, "chain.json"),
         }
         with open(files["{malformed}"], "w", encoding="utf-8") as handle:
             handle.write("{not json")
         with open(files["{nan}"], "w", encoding="utf-8") as handle:
             handle.write('{"family": {"name": "bell_mixture", "parameters": {"a": NaN}}}')
+        with open(files["{chain}"], "w", encoding="utf-8") as handle:
+            handle.write(_chain_document())
         # The temporary directory's name differs between runs; it is replaced
         # in the printed calls and in the hashed output.
         prefix = (scratch + os.sep).encode()
