@@ -42,20 +42,7 @@ from .documents import (
     parse_document,
     state_to_document,
 )
-from .exceptions import (
-    BadParameterCount,
-    BadRank,
-    BadWeights,
-    DimensionMismatch,
-    DiscordantError,
-    DocumentError,
-    IncompleteBasis,
-    InvalidParameters,
-    NonHermitian,
-    NonOrthogonalBasis,
-    NotDensityMatrix,
-    NotPositiveSemidefinite,
-)
+from .exceptions import DiscordantError, DocumentError, InvalidParameters
 from .measurement import (
     ProjectiveMeasurement,
     post_measurement_state,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations, product
 from numbers import Integral
 from typing import NamedTuple
 
@@ -361,10 +361,9 @@ def classify_zero_discord(state: BipartiteState, side: str = "A") -> ZeroDiscord
         method = METHOD_EIGENSTRUCTURE
         blocks = _side_blocks(state, side)
         # The family holds rho_ji = rho_ij^dagger, so the pairwise commutators
-        # include [rho_ij, rho_ij^dagger]: commuting blocks are normal.
-        block_commutator = max(
-            max(commutator_norm(x, y) for y in blocks) for x in blocks
-        )
+        # include [rho_ij, rho_ij^dagger]: commuting blocks are normal. [y, x]
+        # is exactly -[x, y] and [x, x] exactly 0, so each pair is taken once.
+        block_commutator = max((commutator_norm(x, y) for x, y in combinations(blocks, 2)), default=0.0)
         if block_commutator > COMMUTATOR_TOL * AMBIGUITY_FACTOR:
             # No basis diagonalizes the whole family, so the discord is
             # nonzero; the residual at the eigenbasis is only an upper bound.

@@ -8,8 +8,8 @@ A document holds exactly one of:
   entries written as two-element ``[re, im]`` arrays, e.g.
   ``{"explicit": {"dims": [2, 2], "matrix": [[[0.5, 0.0], ...], ...]}}``
 
-Schema-level problems raise DocumentError (CLI exit 2); documents that parse
-but describe an invalid state fail in the constructors (CLI exit 3).
+Schema-level problems raise DocumentError (CLI exit 2); a document that parses
+but describes an invalid state raises InvalidParameters (CLI exit 3).
 """
 
 from __future__ import annotations

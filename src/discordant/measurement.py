@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exceptions import BadParameterCount, DimensionMismatch, IncompleteBasis
+from .exceptions import InvalidParameters
 from .operator_core import _side
 from .states import BipartiteState
 
@@ -37,8 +37,8 @@ class ProjectiveMeasurement:
 
     ``basis`` columns are the measured directions; projector a is the outer
     product of column a with itself. A basis that is not square and nonempty
-    with orthonormal columns within 1e-10 raises IncompleteBasis; a subsystem
-    other than "A" or "B" raises InvalidParameters.
+    with orthonormal columns within 1e-10, or a subsystem other than "A" or
+    "B", raises InvalidParameters.
     """
 
     subsystem: str
@@ -48,9 +48,9 @@ class ProjectiveMeasurement:
         side = _side(self.subsystem)
         u = np.array(self.basis, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
-            raise IncompleteBasis(f"basis must be square and nonempty, got shape {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > COMPLETENESS_TOL:
-            raise IncompleteBasis("projector family does not resolve the identity")
+            raise InvalidParameters(f"basis must be square and nonempty, got shape {u.shape}")
+        if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= COMPLETENESS_TOL:
+            raise InvalidParameters("projector family does not resolve the identity")
         u.flags.writeable = False
         object.__setattr__(self, "subsystem", side)
         object.__setattr__(self, "basis", u)
@@ -82,7 +82,7 @@ def basis_from_parameters(params, d: int) -> np.ndarray:
     """Unitary whose columns are the chart point for the given angles."""
     x = np.asarray(params, dtype=float).ravel()
     if x.size != d * (d - 1):
-        raise BadParameterCount(f"need {d * (d - 1)} angles for dimension {d}, got {x.size}")
+        raise InvalidParameters(f"need {d * (d - 1)} angles for dimension {d}, got {x.size}")
     return _givens_product(x, d, _planes(d))
 
 
@@ -134,10 +134,10 @@ def conditional_blocks(rho: np.ndarray, dims: tuple[int, int], basis: np.ndarray
 
 
 def _check_dims(state: BipartiteState, m: ProjectiveMeasurement) -> None:
-    """Raise DimensionMismatch unless ``m`` acts on its subsystem's dimension."""
+    """Raise InvalidParameters unless ``m`` acts on its subsystem's dimension."""
     expected = state.d_a if m.subsystem == "A" else state.d_b
     if m.d != expected:
-        raise DimensionMismatch(
+        raise InvalidParameters(
             f"measurement dimension {m.d} does not match subsystem {m.subsystem} of dims {state.dims}"
         )
 

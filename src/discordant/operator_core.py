@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidParameters, NonHermitian, NotPositiveSemidefinite
+from .exceptions import InvalidParameters
 
 HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -19,20 +19,17 @@ DEGENERACY_GAP = 1e-8
 
 
 def require_hermitian(matrix) -> np.ndarray:
-    """Return ``matrix`` as a complex array, raising NonHermitian if it is not square
-    Hermitian within 1e-12 (max-abs deviation from the conjugate transpose).
-
-    A non-finite entry also raises NonHermitian: the deviation test alone
-    would pass it, since comparisons with nan are false.
-    """
+    """Return ``matrix`` as a complex array, raising InvalidParameters unless it is
+    nonempty, square, finite and Hermitian within 1e-12 (max-abs deviation from
+    the conjugate transpose)."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonHermitian(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidParameters(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise NonHermitian("matrix has non-finite entries")
-    deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if deviation > HERMITICITY_TOL:
-        raise NonHermitian(f"Hermiticity deviation {deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
+        raise InvalidParameters("matrix has non-finite entries")
+    deviation = float(np.max(np.abs(m - m.conj().T)))
+    if not deviation <= HERMITICITY_TOL:
+        raise InvalidParameters(f"Hermiticity deviation {deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
 
 
@@ -110,12 +107,12 @@ def matrix_log_on_support(matrix) -> np.ndarray:
 
     Eigenvalues at or below SUPPORT_CLIP (1e-12) map to 0 in the output (the null space is
     dropped rather than sent to -inf); an eigenvalue below the -1e-10 floor
-    raises NotPositiveSemidefinite.
+    raises InvalidParameters.
     """
     m = require_hermitian(matrix)
     values, vectors = np.linalg.eigh(m)
-    if values.size and values[0] < PSD_FLOOR:
-        raise NotPositiveSemidefinite(f"eigenvalue {values[0]:.3e} below {PSD_FLOOR:.1e}")
+    if values[0] < PSD_FLOOR:
+        raise InvalidParameters(f"eigenvalue {values[0]:.3e} below {PSD_FLOOR:.1e}")
     logs = np.where(values > SUPPORT_CLIP, np.log2(np.maximum(values, SUPPORT_CLIP)), 0.0)
     out = (vectors * logs) @ vectors.conj().T
     return (out + out.conj().T) / 2
@@ -129,17 +126,35 @@ def _side(side) -> str:
     return name
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; a boolean, or an int() that changes the value, raises InvalidParameters."""
+    as_int = int(value)
+    if isinstance(value, (bool, np.bool_)) or as_int != value:
+        raise InvalidParameters(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
+def _dims(dims) -> tuple[int, int]:
+    """(d_A, d_B) from exactly two integral entries, each at least 1."""
+    if len(dims) != 2:
+        raise InvalidParameters(f"dims must have two entries, got {dims!r}")
+    d_a, d_b = (_integral(d, name) for d, name in zip(dims, ("d_A", "d_B")))
+    if d_a < 1 or d_b < 1:
+        raise InvalidParameters(f"dims must be positive, got {(d_a, d_b)}")
+    return d_a, d_b
+
+
 def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on a (d_A x d_B) composite.
 
-    ``keep`` selects the surviving subsystem, "A" or "B"; anything else raises
-    InvalidParameters.
+    ``keep`` selects the surviving subsystem, "A" or "B", and ``dims`` must be
+    two integral entries of at least 1; anything else raises InvalidParameters.
     """
     side = _side(keep)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _dims(dims)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatch(f"operator shape {m.shape} incompatible with dims {dims}")
+        raise InvalidParameters(f"operator shape {m.shape} incompatible with dims {dims}")
     r = m.reshape(d_a, d_b, d_a, d_b)
     if side == "A":
         return np.einsum("ibjb->ij", r)
@@ -147,9 +162,10 @@ def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
 
 
 def commutator_norm(x, y) -> float:
-    """Max-abs entry of the commutator XY - YX."""
+    """Max-abs entry of the commutator XY - YX of two nonempty square matrices
+    of one shape; other shapes raise InvalidParameters."""
     a = np.asarray(x, dtype=complex)
     b = np.asarray(y, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidParameters(f"incompatible shapes {a.shape} and {b.shape}")
     return float(np.max(np.abs(a @ b - b @ a)))

@@ -6,15 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    BadRank,
-    BadWeights,
-    DimensionMismatch,
-    InvalidParameters,
-    NonOrthogonalBasis,
-    NotDensityMatrix,
-)
-from .operator_core import PSD_FLOOR, partial_trace, require_hermitian
+from .exceptions import InvalidParameters
+from .operator_core import PSD_FLOOR, _dims, _integral, partial_trace, require_hermitian
 
 TRACE_TOL = 1e-10
 # Largest d_A * d_B that random_state draws: its Ginibre matrix holds
@@ -29,14 +22,19 @@ def validate_density_matrix(matrix, dim: int | None = None) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the complex array."""
     m = require_hermitian(matrix)
     if dim is not None and m.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {m.shape[0]}")
+        raise InvalidParameters(f"expected dimension {dim}, got {m.shape[0]}")
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NotDensityMatrix(f"trace {trace.real:.12f} differs from 1 beyond {TRACE_TOL:.1e}")
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise InvalidParameters(f"trace {trace.real:.12f} differs from 1 beyond {TRACE_TOL:.1e}")
     smallest = float(np.linalg.eigvalsh(m)[0])
     if smallest < PSD_FLOOR:
-        raise NotDensityMatrix(f"eigenvalue {smallest:.3e} below {PSD_FLOOR:.1e}")
+        raise InvalidParameters(f"eigenvalue {smallest:.3e} below {PSD_FLOOR:.1e}")
     return m
+
+
+def _is_distribution(w: np.ndarray) -> bool:
+    """Whether every entry is at least -1e-12 and they sum to 1 within TRACE_TOL; nan fails."""
+    return bool(np.all(w >= -1e-12)) and abs(w.sum() - 1.0) <= TRACE_TOL
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,12 @@ class PureStateEnsemble:
         dims = _dims(self.dims)
         w = np.asarray(self.weights, dtype=float)
         v = np.asarray(self.vectors, dtype=complex)
-        if w.ndim != 1 or np.any(w < -1e-12) or abs(w.sum() - 1.0) > TRACE_TOL:
-            raise BadWeights("weights must be nonnegative and sum to 1")
+        if w.ndim != 1 or not _is_distribution(w):
+            raise InvalidParameters("weights must be nonnegative and sum to 1")
         if v.ndim != 2 or v.shape[0] != w.size or v.shape[1] != dims[0] * dims[1]:
-            raise DimensionMismatch(f"vectors shape {v.shape} incompatible with {w.size} weights on dims {dims}")
+            raise InvalidParameters(f"vectors shape {v.shape} incompatible with {w.size} weights on dims {dims}")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):
             raise InvalidParameters("ensemble vectors must be unit norm")
         w = np.where(w < 0, 0.0, w)
         w.flags.writeable = False
@@ -174,7 +172,7 @@ def teahouse_ensemble(weights=None) -> PureStateEnsemble:
         weights = np.full(9, 1 / 9)
     w = np.asarray(weights, dtype=float)
     if w.shape != (9,):
-        raise BadWeights(f"expected 9 weights, got shape {w.shape}")
+        raise InvalidParameters(f"expected 9 weights, got shape {w.shape}")
     return PureStateEnsemble((3, 3), w, teahouse_vectors())
 
 
@@ -185,25 +183,25 @@ def zero_discord_state(p, basis_a, sigmas_b) -> BipartiteState:
     weight; ``sigmas_b`` the matching density matrices on B.
     """
     w = np.asarray(p, dtype=float)
-    if w.ndim != 1 or np.any(w < -1e-12) or abs(w.sum() - 1.0) > TRACE_TOL:
-        raise BadWeights("p must be a probability vector")
+    if w.ndim != 1 or not _is_distribution(w):
+        raise InvalidParameters("p must be a probability vector")
     vectors = np.asarray(basis_a, dtype=complex)
     if vectors.ndim != 2 or vectors.shape[0] != w.size:
-        raise DimensionMismatch("need one basis vector per weight")
+        raise InvalidParameters("need one basis vector per weight")
     d_a = vectors.shape[1]
     if w.size > d_a:
-        raise DimensionMismatch(f"{w.size} weights cannot fit in dimension {d_a}")
+        raise InvalidParameters(f"{w.size} weights cannot fit in dimension {d_a}")
     gram = vectors @ vectors.conj().T
-    if np.max(np.abs(gram - np.eye(w.size))) > 1e-10:
-        raise NonOrthogonalBasis("basis_a vectors are not orthonormal")
+    if not np.max(np.abs(gram - np.eye(w.size))) <= 1e-10:
+        raise InvalidParameters("basis_a vectors are not orthonormal")
     sigmas = [validate_density_matrix(s) for s in sigmas_b]
     if len(sigmas) != w.size:
-        raise DimensionMismatch("need one sigma per weight")
+        raise InvalidParameters("need one sigma per weight")
     d_b = sigmas[0].shape[0]
     rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
     for weight, vector, sigma in zip(w, vectors, sigmas):
         if sigma.shape[0] != d_b:
-            raise DimensionMismatch("sigmas_b must share one dimension")
+            raise InvalidParameters("sigmas_b must share one dimension")
         rho += weight * np.kron(np.outer(vector, vector.conj()), sigma)
     return BipartiteState((d_a, d_b), rho)
 
@@ -212,29 +210,11 @@ def classical_classical_state(w) -> BipartiteState:
     """Diagonal state sum_ab w_ab |a><a| x |b><b| in the computational product basis."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
-        raise BadWeights(f"expected a 2-D weight matrix, got shape {w.shape}")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > TRACE_TOL:
-        raise BadWeights("weights must be nonnegative and sum to 1")
+        raise InvalidParameters(f"expected a 2-D weight matrix, got shape {w.shape}")
+    if not _is_distribution(w):
+        raise InvalidParameters("weights must be nonnegative and sum to 1")
     rho = np.diag(np.maximum(w, 0.0).ravel()).astype(complex)
     return BipartiteState((w.shape[0], w.shape[1]), rho)
-
-
-def _integral(value, name: str, error: type[Exception] = InvalidParameters) -> int:
-    """``value`` as an int; a boolean, or an int() that changes the value, raises ``error``."""
-    as_int = int(value)
-    if isinstance(value, (bool, np.bool_)) or as_int != value:
-        raise error(f"{name} must be an integer, got {value!r}")
-    return as_int
-
-
-def _dims(dims) -> tuple[int, int]:
-    """(d_A, d_B) from exactly two integral entries, each at least 1."""
-    if len(dims) != 2:
-        raise DimensionMismatch(f"dims must have two entries, got {dims!r}")
-    d_a, d_b = (_integral(d, name) for d, name in zip(dims, ("d_A", "d_B")))
-    if d_a < 1 or d_b < 1:
-        raise DimensionMismatch(f"dims must be positive, got {(d_a, d_b)}")
-    return d_a, d_b
 
 
 def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) -> BipartiteState:
@@ -243,16 +223,16 @@ def random_state(dims: tuple[int, int], rank: int | None = None, seed: int = 0) 
 
     A d_A * d_B above MAX_RANDOM_DIM raises InvalidParameters before the draw.
     Integral floats such as 3.0 are accepted; a dimension, rank or seed that
-    is not integral or is a boolean raises InvalidParameters (BadRank for the
-    rank), and dims without exactly two entries raise DimensionMismatch.
+    is not integral or is a boolean, and dims without exactly two entries,
+    raise InvalidParameters.
     """
     d_a, d_b = _dims(dims)
     dim = d_a * d_b
     if dim > MAX_RANDOM_DIM:
         raise InvalidParameters(f"d_A * d_B = {dim} exceeds the cap of {MAX_RANDOM_DIM}")
-    rank = dim if rank is None else _integral(rank, "rank", BadRank)
+    rank = dim if rank is None else _integral(rank, "rank")
     if not 1 <= rank <= dim:
-        raise BadRank(f"rank must lie in [1, {dim}], got {rank}")
+        raise InvalidParameters(f"rank must lie in [1, {dim}], got {rank}")
     rng = np.random.default_rng(_integral(seed, "seed"))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T

@@ -11,9 +11,7 @@ PUBLIC_NAMES = {
     "correlations", "demon", "discord", "documents", "exceptions", "measurement",
     "operator_core", "states",
     # errors
-    "BadParameterCount", "BadRank", "BadWeights", "DimensionMismatch", "DiscordantError",
-    "DocumentError", "IncompleteBasis", "InvalidParameters", "NonHermitian",
-    "NonOrthogonalBasis", "NotDensityMatrix", "NotPositiveSemidefinite",
+    "DiscordantError", "DocumentError", "InvalidParameters",
     # states and documents
     "BipartiteState", "PureStateEnsemble", "bell_mixture", "classical_classical_state",
     "example_state", "random_state", "teahouse_ensemble", "teahouse_vectors",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from discordant import (
-    NotDensityMatrix,
     BipartiteState,
+    InvalidParameters,
     ProjectiveMeasurement,
     cerf_adami_conditional_entropy,
     cerf_adami_operator,
@@ -99,7 +99,7 @@ class TestVonNeumann:
         assert von_neumann_entropy(np.diag([0.75, 0.25])) == pytest.approx(H2_QUARTER, abs=1e-14)
 
     def test_rejects_non_density(self):
-        with pytest.raises(NotDensityMatrix):
+        with pytest.raises(InvalidParameters, match="differs from 1"):
             von_neumann_entropy(np.eye(2))
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from discordant import (
     InvalidParameters,
-    NotDensityMatrix,
     OptimizerConfig,
     ProjectiveMeasurement,
     conditional_entropy_after_measurement,
@@ -47,7 +46,7 @@ class TestWorkSingle:
         )
 
     def test_rejects_non_density(self):
-        with pytest.raises(NotDensityMatrix):
+        with pytest.raises(InvalidParameters, match="differs from 1"):
             work_single(np.eye(2))
         with pytest.raises(InvalidParameters):
             work_single(np.eye(2) / 2, kt=0.0)

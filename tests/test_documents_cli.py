@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from discordant import (
     DocumentError,
-    NotDensityMatrix,
+    InvalidParameters,
     document_to_state,
     dumps_document,
     loads_document,
@@ -116,7 +116,7 @@ class TestDocuments:
                 }
             }
         )
-        with pytest.raises(NotDensityMatrix):
+        with pytest.raises(InvalidParameters, match="differs from 1"):
             document_to_state(document)
 
     def test_bad_json_text(self):
@@ -245,6 +245,37 @@ class TestCliBasics:
         result = invoke(*command, "--input", str(path))
         assert result.exit_code == 3
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("document, fragment", [
+        ({"explicit": {"dims": [1, 2], "matrix": [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]]}},
+         "Hermiticity deviation"),
+        ({"explicit": {"dims": [1, 2], "matrix": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}},
+         "eigenvalue -5.000e-01 below"),
+        ({"family": {"name": "random", "parameters": {"dims": [2, 2], "rank": 5}}}, "rank must lie in"),
+        ({"family": {"name": "random", "parameters": {"dims": [2, 2, 5]}}}, "two entries"),
+        ({"family": {"name": "zero_discord", "parameters": {
+            "p": [0.5, 0.5], "basis_a": [[[1, 0], [0, 0]], [[1, 0], [1, 0]]],
+            "sigmas_b": [[[[1, 0]]], [[[1, 0]]]]}}}, "not orthonormal"),
+        ({"family": {"name": "zero_discord", "parameters": {
+            "p": [0.5, 0.4], "basis_a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "sigmas_b": [[[[1, 0]]], [[[1, 0]]]]}}}, "probability vector"),
+        ({"family": {"name": "classical_classical", "parameters": {"weights": [0.5, 0.5]}}},
+         "2-D weight matrix"),
+        ({"family": {"name": "teahouse_ensemble", "parameters": {"weights": [0.125] * 8}}},
+         "expected 9 weights"),
+        ({"family": {"name": "teahouse_ensemble", "parameters": {"weights": [float("nan")] * 9}}},
+         "nonnegative and sum to 1"),
+    ], ids=["non_hermitian", "negative", "rank", "three_dims", "non_orthonormal", "p_sum",
+            "one_dim_weights", "eight_weights", "nan_weights"])
+    def test_invalid_document_names_its_check_exit_3(self, tmp_path, document, fragment):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(document))
+        result = invoke("classify", "--input", str(path))
+        lines = result.stderr.splitlines()
+        assert result.exit_code == 3
+        assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0]
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_one_dimensional_measured_side(self, tmp_path):
         path = tmp_path / "line.json"

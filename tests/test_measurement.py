@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from discordant import (
-    BadParameterCount,
-    IncompleteBasis,
+    InvalidParameters,
     ProjectiveMeasurement,
     post_measurement_state,
     von_neumann_entropy,
@@ -41,10 +40,13 @@ def random_unitary(rng, d):
 
 
 class TestProjectiveMeasurement:
-    @pytest.mark.parametrize("basis", [np.array([[1.0, 0.0], [0.0, 0.5]]), np.ones((2, 3)), np.zeros((0, 0))],
-                             ids=["not_orthonormal", "not_square", "empty"])
-    def test_rejects_an_incomplete_basis(self, basis):
-        with pytest.raises(IncompleteBasis):
+    @pytest.mark.parametrize("basis, fragment", [
+        (np.array([[1.0, 0.0], [0.0, 0.5]]), "does not resolve the identity"),
+        (np.ones((2, 3)), "square and nonempty"),
+        (np.zeros((0, 0)), "square and nonempty"),
+    ], ids=["not_orthonormal", "not_square", "empty"])
+    def test_rejects_an_incomplete_basis(self, basis, fragment):
+        with pytest.raises(InvalidParameters, match=fragment):
             ProjectiveMeasurement("A", basis)
 
 
@@ -90,7 +92,7 @@ class TestChart:
             assert basis_from_parameters(params, d).tobytes() == expected.tobytes()
 
     def test_parameter_count(self):
-        with pytest.raises(BadParameterCount):
+        with pytest.raises(InvalidParameters, match="need 2 angles"):
             basis_from_parameters(np.zeros(3), 2)
 
     def test_parameters_for_basis_roundtrip(self):

@@ -3,10 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from discordant import (
-    DimensionMismatch,
     InvalidParameters,
-    NonHermitian,
-    NotPositiveSemidefinite,
     OptimizerConfig,
     ProjectiveMeasurement,
     classify_zero_discord,
@@ -17,8 +14,12 @@ from discordant import (
     optimize_discord,
     partial_trace,
 )
+from discordant.correlations import information_function
 from discordant.operator_core import require_hermitian
-from discordant.states import bell_mixture, bell_psi, example_state, random_state
+from discordant.states import (
+    PureStateEnsemble, bell_mixture, bell_psi, classical_classical_state, example_state, random_state,
+    teahouse_ensemble, zero_discord_state,
+)
 
 from oracles import loop_partial_trace
 
@@ -79,7 +80,7 @@ class TestEig:
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InvalidParameters, match="Hermiticity deviation"):
             eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -87,14 +88,14 @@ class TestEig:
         # A nan deviation passes a "> tol" test; the entry must be rejected first.
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = entry
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InvalidParameters, match="non-finite entries"):
             require_hermitian(m)
         m[1, 0] = np.conj(entry)
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InvalidParameters, match="non-finite entries"):
             eig(m)
 
     def test_example_state_rejects_non_finite_parameter(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(InvalidParameters, match="non-finite entries"):
             example_state(np.nan, 0.5)
 
 
@@ -113,7 +114,7 @@ class TestMatrixFunctions:
         )
 
     def test_log_rejects_negative(self):
-        with pytest.raises(NotPositiveSemidefinite):
+        with pytest.raises(InvalidParameters, match="eigenvalue .* below"):
             matrix_log_on_support(np.diag([1.0, -1e-6]))
 
     def test_exp_log_roundtrip_full_rank(self):
@@ -166,7 +167,7 @@ class TestTensorAndTrace:
                 assert abs(np.trace(reduced) - np.trace(h)) <= 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameters, match="incompatible with dims"):
             partial_trace(np.eye(5), (2, 2), "A")
 
 
@@ -184,7 +185,7 @@ class TestCommutatorNorm:
         assert commutator_norm(lifted, state.rho) == pytest.approx(1 / 16, abs=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameters, match="incompatible shapes"):
             commutator_norm(np.eye(2), np.eye(3))
 
 
@@ -199,3 +200,27 @@ def test_every_side_is_checked_alike(call):
     call("b")  # case-insensitive
     with pytest.raises(InvalidParameters):
         call("C")
+
+
+NAN = float("nan")
+EMPTY = np.zeros((0, 0))
+
+
+# Each check must fail on nan, which passes every "x > tol" rejection, and on
+# an empty matrix, which has no index for a degeneracy group or a maximum.
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ProjectiveMeasurement("A", [[NAN, 0], [0, 1]]), "does not resolve the identity"),
+    (lambda: teahouse_ensemble([NAN] * 9), "nonnegative and sum to 1"),
+    (lambda: PureStateEnsemble((1, 2), [1.0], [[NAN, 0]]), "unit norm"),
+    (lambda: zero_discord_state([NAN, NAN], np.eye(2), [np.eye(2) / 2] * 2), "probability vector"),
+    (lambda: classical_classical_state([[NAN, 0], [0, NAN]]), "nonnegative and sum to 1"),
+    (lambda: require_hermitian(EMPTY), "nonempty square matrix"),
+    (lambda: eig(EMPTY), "nonempty square matrix"),
+    (lambda: information_function(EMPTY), "nonempty square matrix"),
+    (lambda: commutator_norm(EMPTY, EMPTY), "incompatible shapes"),
+    (lambda: partial_trace(np.eye(4), (2, 2, 1), "A"), "two entries"),
+], ids=["nan_basis", "nan_ensemble_weights", "nan_vector", "nan_p", "nan_classical_weights",
+        "empty_hermitian", "empty_eig", "empty_information", "empty_commutator", "three_dims_trace"])
+def test_nan_and_empty_inputs_raise(call, fragment):
+    with pytest.raises(InvalidParameters, match=fragment):
+        call()

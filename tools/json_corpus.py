@@ -14,7 +14,8 @@ The package is imported from the ``src`` directory next to this script. The
 searches run at ``--restarts 2``. Human ``analyze`` output is left out, since
 its ``elapsed:`` line is wall time. The sources include states whose A
 marginal has a null space, states whose marginals are degenerate, and an
-explicit document whose A marginal is a near-degenerate chain.
+explicit document whose A marginal is a near-degenerate chain. The error calls
+include documents that each fail one state check.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def _chain_document() -> str:
     return json.dumps({"explicit": {"dims": [3, 2], "matrix": matrix}})
 
 
+def _explicit(rows: list[list[float]]) -> str:
+    """An explicit (1, 2) document with the given real entries."""
+    return json.dumps({"explicit": {"dims": [1, 2], "matrix": [[[x, 0.0] for x in row] for row in rows]}})
+
+
 ERROR_CALLS = [
     ("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--restarts", "0"),
     ("analyze", "--family", "bell_mixture", "--param", "a=0.3", "--seed", "-1"),
@@ -108,6 +114,20 @@ ERROR_CALLS = [
     ("classify", "--input", "{malformed}"),
     ("classify", "--input", "{nan}"),
     ("table1", "--param", "a=2", *RESTARTS),
+    # Documents that parse but fail one state check each: exit 3, one error line.
+    ("classify", "--input", "{non_hermitian}"),
+    ("classify", "--input", "{negative}"),
+    ("classify", *_family("random", dims=[2, 2], rank=5)),
+    ("classify", *_family("random", dims=[2, 2, 5])),
+    ("classify", *_family("zero_discord", p=[0.5, 0.5],
+                          basis_a=[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+                          sigmas_b=[[[[1.0, 0.0]]], [[[1.0, 0.0]]]])),
+    ("classify", *_family("zero_discord", p=[0.5, 0.4],
+                          basis_a=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                          sigmas_b=[[[[1.0, 0.0]]], [[[1.0, 0.0]]]])),
+    ("classify", *_family("classical_classical", weights=[0.5, 0.5])),
+    ("classify", *_family("teahouse_ensemble", weights=[0.125] * 8)),
+    ("classify", *_family("teahouse_ensemble", weights=[float("nan")] * 9)),
 ]
 
 
@@ -164,18 +184,17 @@ def main_corpus() -> int:
     runner = CliRunner()
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
-        files = {
-            "{missing}": os.path.join(scratch, "missing.json"),
-            "{malformed}": os.path.join(scratch, "malformed.json"),
-            "{nan}": os.path.join(scratch, "nan.json"),
-            "{chain}": os.path.join(scratch, "chain.json"),
+        texts = {
+            "{malformed}": "{not json",
+            "{nan}": '{"family": {"name": "bell_mixture", "parameters": {"a": NaN}}}',
+            "{chain}": _chain_document(),
+            "{non_hermitian}": _explicit([[0.5, 0.1], [0.0, 0.5]]),
+            "{negative}": _explicit([[1.5, 0.0], [0.0, -0.5]]),
         }
-        with open(files["{malformed}"], "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        with open(files["{nan}"], "w", encoding="utf-8") as handle:
-            handle.write('{"family": {"name": "bell_mixture", "parameters": {"a": NaN}}}')
-        with open(files["{chain}"], "w", encoding="utf-8") as handle:
-            handle.write(_chain_document())
+        files = {key: os.path.join(scratch, key.strip("{}") + ".json") for key in ("{missing}", *texts)}
+        for key, text in texts.items():
+            with open(files[key], "w", encoding="utf-8") as handle:
+                handle.write(text)
         # The temporary directory's name differs between runs; it is replaced
         # in the printed calls and in the hashed output.
         prefix = (scratch + os.sep).encode()
