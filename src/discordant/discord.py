@@ -12,13 +12,13 @@ Measures (all in bits, all over rank-1 projective measurements):
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .correlations import _measured_entropy, entropy_of_eigenvalues, mutual_information, state_entropies
 from .exceptions import InvalidParameters
@@ -166,14 +166,74 @@ def discord_d2_at(state: BipartiteState, m: ProjectiveMeasurement) -> float:
     return _at_basis("D2", state, m.basis, m.subsystem).value
 
 
-def _nelder_mead(objective, start: np.ndarray) -> OptimizeResult:
+class _SimplexResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    success: bool
+    nfev: int
+
+
+class _EvaluationCap(Exception):
+    """Raised in place of the evaluation past ``MAX_EVALUATIONS``."""
+
+
+def _nelder_mead(objective, start: np.ndarray) -> _SimplexResult:
     """One Nelder-Mead simplex from ``start``, stopped at ``MAX_EVALUATIONS``
-    evaluations. An empty start, the one point of a chart without angles, is
-    evaluated once."""
+    evaluations; an empty start, the one point of a chart without angles, is
+    evaluated once. Each step, comparison, sort and cap check is that of the
+    reference implementation (see the README), which the tests match bit for bit.
+    """
     if start.size == 0:
-        return OptimizeResult(x=start, fun=objective(start), success=True, nfev=1)
-    options = dict(fatol=SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=MAX_EVALUATIONS, maxiter=MAX_EVALUATIONS)
-    return minimize(objective, start, method="Nelder-Mead", options=options)
+        return _SimplexResult(start, objective(start), True, 1)
+    cap = MAX_EVALUATIONS
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= cap:
+            raise _EvaluationCap
+        calls += 1
+        return objective(x)
+
+    n = start.size
+    sim = np.array([start] * (n + 1), dtype=float)
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * start[k] if start[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    with suppress(_EvaluationCap):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    # argsort is not stable, so the second sort can still reorder tied values.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    while calls < cap:
+        with suppress(_EvaluationCap):
+            if np.max(np.abs(sim[1:] - sim[0])) <= 1e-6 and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_TOLERANCE:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                outside = fxr < fsim[-1]
+                xc = (1.5 * xbar - 0.5 * sim[-1]) if outside else (0.5 * xbar + 0.5 * sim[-1])
+                fxc = f(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return _SimplexResult(sim[0], np.min(fsim), calls < cap, calls)
 
 
 def _multistart(objective, first: np.ndarray, config: OptimizerConfig):
@@ -307,6 +367,13 @@ def _side_blocks(state: BipartiteState, side: str) -> list[np.ndarray]:
     return [r4[a, :, b, :] for a, b in product(range(state.d_a), repeat=2)]
 
 
+def _block_commutator(blocks: list[np.ndarray]) -> float:
+    """Largest ``commutator_norm(blocks[i], blocks[j])`` over i < j, one stacked matmul per i."""
+    stack = np.array(blocks, dtype=complex)
+    return max((float(np.max(np.abs(x @ stack[i + 1:] - stack[i + 1:] @ x))) for i, x in enumerate(stack[:-1])),
+               default=0.0)
+
+
 def _simultaneous_eigenbasis(blocks: list[np.ndarray], d: int):
     """Eigenbasis of a random Hermitian combination of the blocks, retried until
     it diagonalizes the whole family; None if no attempt succeeds."""
@@ -363,7 +430,7 @@ def classify_zero_discord(state: BipartiteState, side: str = "A") -> ZeroDiscord
         # The family holds rho_ji = rho_ij^dagger, so the pairwise commutators
         # include [rho_ij, rho_ij^dagger]: commuting blocks are normal. [y, x]
         # is exactly -[x, y] and [x, x] exactly 0, so each pair is taken once.
-        block_commutator = max((commutator_norm(x, y) for x, y in combinations(blocks, 2)), default=0.0)
+        block_commutator = _block_commutator(blocks)
         if block_commutator > COMMUTATOR_TOL * AMBIGUITY_FACTOR:
             # No basis diagonalizes the whole family, so the discord is
             # nonzero; the residual at the eigenbasis is only an upper bound.

@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import discordant
 
@@ -48,3 +52,13 @@ def test_work_ledger_fields():
         "kt", "w_plus", "w_local", "w2", "w3", "delta_l", "delta_2", "delta_3", "d2",
     ]
     assert list(inspect.signature(discordant.work_ledger).parameters) == ["state", "kt", "config"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; a cold CLI call must not pay for importing it.
+    code = ("import sys, discordant, discordant.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(discordant.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

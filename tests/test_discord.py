@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import minimize
 
 from discordant import discord as discord_module
 from discordant import (
@@ -13,6 +15,7 @@ from discordant import (
     ProjectiveMeasurement,
     bell_mixture_discord_closed_form,
     classify_zero_discord,
+    commutator_norm,
     discord_d1_at,
     discord_d2_at,
     discord_d3,
@@ -64,6 +67,21 @@ def random_zero_discord(seed, degenerate=False, d_b=2):
     basis, _ = np.linalg.qr(z)
     sigmas = [random_state((d_b, 1), seed=int(rng.integers(1 << 30))).rho for _ in range(2)]
     return zero_discord_state(p, basis.T, sigmas)
+
+
+def recorded_searches(monkeypatch, run):
+    """(objective, start) of every simplex that ``run()`` starts; each one
+    stops at its start."""
+    searches = []
+
+    def first_point_only(objective, start):
+        searches.append((objective, start))
+        return discord_module._SimplexResult(start, objective(start), True, 1)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(discord_module, "_nelder_mead", first_point_only)
+        run()
+    return searches
 
 
 class TestMeasurementFixedValues:
@@ -237,15 +255,9 @@ class TestOptimizer:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2)])
     def test_search_objective_equals_entropy_profile_value(self, monkeypatch, measure, dims):
         # Capture the objective that optimize_discord hands to Nelder-Mead.
-        objectives = []
-
-        def first_start_only(fun, x0, **_):
-            objectives.append(fun)
-            return OptimizeResult(x=x0, fun=fun(x0), success=True, nfev=1)
-
-        monkeypatch.setattr(discord_module, "minimize", first_start_only)
         state = random_state(dims, seed=41)
-        optimize_discord(measure, state, config=OptimizerConfig(restarts=1))
+        config = OptimizerConfig(restarts=1)
+        objective = recorded_searches(monkeypatch, lambda: optimize_discord(measure, state, config=config))[0][0]
         s_side, _, s_ab = discord_module._entropies(state, "A")
         rng = np.random.default_rng(dims[0])
         d = dims[0]
@@ -258,7 +270,7 @@ class TestOptimizer:
                 expected = s_conditional + (s_side - s_ab)
             else:
                 expected = h + s_conditional + (-s_ab)
-            assert objectives[0](params) == expected
+            assert objective(params) == expected
 
 
 class TestD3:
@@ -323,18 +335,68 @@ class TestD3:
         assert discord_d3(example_state(0.5, 0.5)).diagnostics == OptimizerDiagnostics()
 
     def test_every_simplex_is_capped_at_max_evaluations(self, monkeypatch):
-        caps = []
+        # Every start runs through _nelder_mead, once each ...
+        config = OptimizerConfig(restarts=1)
+        state = example_state(0.5, 0.5)
+        assert len(recorded_searches(monkeypatch, lambda: optimize_discord("D1", state, config=config))) == 2
+        assert len(recorded_searches(monkeypatch, lambda: discord_d3(bell_mixture(0.25)))) == 21
+        # ... and _nelder_mead stops a search that never settles at the cap.
+        noise = np.random.default_rng(5)
+        result = discord_module._nelder_mead(lambda x: noise.random(), np.zeros(2))
+        assert result.nfev == discord_module.MAX_EVALUATIONS
+        assert not result.success
 
-        def first_point_only(fun, x0, options, **_):
-            caps.append(options["maxfev"])
-            return OptimizeResult(x=x0, fun=fun(x0), success=True, nfev=1)
 
-        monkeypatch.setattr(discord_module, "minimize", first_point_only)
-        optimize_discord("D1", example_state(0.5, 0.5), config=OptimizerConfig(restarts=1))
-        assert caps == [discord_module.MAX_EVALUATIONS] * 2
-        caps.clear()
-        discord_d3(bell_mixture(0.25))
-        assert caps == [discord_module.MAX_EVALUATIONS] * 21
+class TestSimplexParity:
+    """``_nelder_mead`` against scipy's Nelder-Mead at the same options, bit
+    for bit, on the search objectives and with caps inside, at and past the
+    starting simplex."""
+
+    @staticmethod
+    def _assert_matches_scipy(objective, start):
+        ours = discord_module._nelder_mead(objective, start)
+        cap = discord_module.MAX_EVALUATIONS
+        options = dict(fatol=discord_module.SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=cap, maxiter=cap)
+        reference = minimize(objective, start, method="Nelder-Mead", options=options)
+        assert np.array_equal(ours.x, reference.x)
+        assert (ours.fun, ours.nfev, ours.success) == (reference.fun, reference.nfev, reference.success)
+        return ours
+
+    @pytest.mark.parametrize("measure", ["D1", "D2"])
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 3), ((3, 2), 4), ((2, 4), 5), ((4, 2), 7)])
+    def test_search_objectives(self, monkeypatch, measure, dims, seed):
+        state = random_state(dims, seed=seed)
+        config = OptimizerConfig(restarts=1, seed=seed)
+        searches = recorded_searches(monkeypatch, lambda: optimize_discord(measure, state, config=config))
+        results = [self._assert_matches_scipy(objective, start) for objective, start in searches]
+        if (dims, measure) == ((4, 2), "D1"):
+            assert [r.success for r in results] == [False, False]
+
+    def test_restricted_objective_of_a_degenerate_marginal(self, monkeypatch):
+        # rho_A has spectrum (1/4, 1/4, 1/2): one degenerate plane, searched from 0.
+        sigmas = [np.diag([0.9, 0.1]), np.diag([0.2, 0.8]), np.eye(2) / 2]
+        tilted = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+        state = zero_discord_state([0.25, 0.25, 0.5], tilted.T, sigmas)
+        searches = recorded_searches(monkeypatch, lambda: discord_d3(state))
+        assert len(searches) == 21
+        for objective, start in searches[:3]:
+            self._assert_matches_scipy(objective, start)
+
+    @pytest.mark.parametrize("cap", [1, 5, 13])
+    def test_patched_caps(self, monkeypatch, cap):
+        monkeypatch.setattr(discord_module, "MAX_EVALUATIONS", cap)
+        state = random_state((3, 2), seed=9)
+        config = OptimizerConfig(restarts=1)
+        searches = recorded_searches(monkeypatch, lambda: optimize_discord("D1", state, config=config))
+        quartic = (lambda x: float(np.sum((x - 0.3) ** 4)), np.array([0.5, 0.0, 1.0, 2.0]))
+        for objective, start in [*searches, quartic]:
+            result = self._assert_matches_scipy(objective, start)
+            assert result.nfev == cap and not result.success
+
+    def test_empty_start_is_evaluated_once(self):
+        result = discord_module._nelder_mead(lambda x: 0.25, np.empty(0))
+        assert result.x.size == 0
+        assert (result.fun, result.nfev, result.success) == (0.25, 1, True)
 
 
 class TestLuoBellDiagonal:
@@ -608,3 +670,14 @@ class TestClassifier:
             d1 = optimize_discord("D1", state, config=FAST).value
             assert verdict.verdict != "AMBIGUOUS"
             assert (verdict.verdict == "ZERO") == (d1 <= 1e-6)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("dims", [(2, 5), (3, 3), (4, 2)])
+    def test_batched_block_commutator_equals_pairwise_maximum(self, dims, side):
+        states = [random_state(dims, seed=2900 + seed) for seed in range(5)]
+        sigmas = [random_state((dims[1], 1), seed=2910 + k).rho for k in range(dims[0])]
+        states.append(zero_discord_state(np.full(dims[0], 1 / dims[0]), np.eye(dims[0]), sigmas))
+        for state in states:
+            blocks = discord_module._side_blocks(state, side)
+            pairwise = max(commutator_norm(x, y) for x, y in combinations(blocks, 2))
+            assert discord_module._block_commutator(blocks) == pairwise
