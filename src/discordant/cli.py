@@ -89,8 +89,15 @@ def _resolve_document(input_path, family, params) -> StateDocument:
     return parse_document({"family": {"name": family, "parameters": parameters}})
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout``, or ``sys.stderr`` for
+    ``err``. Without a stream, click caches the one it looks up in a weak map
+    whose value is the stream itself, so a redirected stream is never freed."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(error: Exception, code: int):
-    click.echo(f"error: {error}", err=True)
+    _echo(f"error: {error}", err=True)
     sys.exit(code)
 
 
@@ -147,7 +154,7 @@ def _warned(report: DiscordReport) -> DiscordReport:
     """``report``, after a warning on stderr if its search did not converge."""
     if not report.diagnostics.converged:
         evaluations = report.diagnostics.function_evaluations
-        click.echo(f"warning: {report.measure} search did not converge after {evaluations} evaluations", err=True)
+        _echo(f"warning: {report.measure} search did not converge after {evaluations} evaluations", err=True)
     return report
 
 
@@ -219,7 +226,7 @@ def _echo_json(payload: dict) -> None:
     # Wall-clock fields are stripped so identical seeds and flags give
     # byte-identical output; measurement bases print as [re, im] pairs.
     cleaned = {k: v for k, v in payload.items() if not k.startswith("_")}
-    click.echo(json.dumps(cleaned, indent=2, sort_keys=True, default=_pair_matrix))
+    _echo(json.dumps(cleaned, indent=2, sort_keys=True, default=_pair_matrix))
 
 
 def _fmt(x: float) -> str:
@@ -228,35 +235,35 @@ def _fmt(x: float) -> str:
 
 def _render_analysis(report: dict) -> None:
     dims = report["state"]["dims"]
-    click.echo(f"state: dims {dims[0]}x{dims[1]}, purity {_fmt(report['state']['purity'])}")
+    _echo(f"state: dims {dims[0]}x{dims[1]}, purity {_fmt(report['state']['purity'])}")
     e = report["entropies"]
-    click.echo(
+    _echo(
         f"entropies: S_A {_fmt(e['s_a'])}  S_B {_fmt(e['s_b'])}  "
         f"S_AB {_fmt(e['s_ab'])}  I {_fmt(e['mutual_information'])}"
     )
     d = report["discord"]
-    click.echo(
+    _echo(
         "discord:   D1 " + _fmt(d["d1"]["value"]) + "  D2 " + _fmt(d["d2"]["value"])
         + "  D3 " + _fmt(d["d3"]["value"]) + "  D3sym " + _fmt(d["d3sym"]["value"])
     )
     for side in ("A", "B"):
         v = report["classification"][side]
         extra = "" if v["residual_discord"] is None else f", residual {v['residual_discord']:.3e}"
-        click.echo(
+        _echo(
             f"classify {side}: {v['verdict']} via {v['method']} "
             f"(commutator {v['commutator_norm']:.3e}{extra})"
         )
     w = report["demon"]
-    click.echo(
+    _echo(
         f"demon (kT={w['kT']}): W+ {_fmt(w['w_plus'])}  W_L {_fmt(w['w_local'])}  "
         f"W2 {_fmt(w['w2'])}  W3 {_fmt(w['w3'])}"
     )
-    click.echo(
+    _echo(
         f"           dL {_fmt(w['delta_L'])}  d2 {_fmt(w['delta_2'])}  d3 {_fmt(w['delta_3'])}"
     )
     for note in report["notes"]:
-        click.echo(f"note: {note}")
-    click.echo(f"elapsed: {report['_timing_seconds']:.2f} s")
+        _echo(f"note: {note}")
+    _echo(f"elapsed: {report['_timing_seconds']:.2f} s")
 
 
 @click.group(cls=_Main)
@@ -292,7 +299,7 @@ def classify(input_path, family, params, side, as_json):
         _echo_json(asdict(verdict))
     else:
         residual = "n/a" if verdict.residual_discord is None else f"{verdict.residual_discord:.6e}"
-        click.echo(
+        _echo(
             f"{verdict.verdict} (side {side.upper()}, method {verdict.method}, "
             f"commutator norm {verdict.commutator_norm:.6e}, residual discord {residual})"
         )
@@ -325,11 +332,11 @@ def discord_command(input_path, family, params, seed, restarts, measure, side, a
     if as_json:
         _echo_json(asdict(report))
     else:
-        click.echo(f"{report.measure} = {_fmt(report.value)} bits (J = {_fmt(report.j_value)})")
+        _echo(f"{report.measure} = {_fmt(report.value)} bits (J = {_fmt(report.j_value)})")
         if report.diagnostics.degenerate_marginal:
-            click.echo("note: measured marginal is degenerate; eigenbasis as the eigensolver returns it")
+            _echo("note: measured marginal is degenerate; eigenbasis as the eigensolver returns it")
             if report.diagnostics.restricted_infimum is not None:
-                click.echo(
+                _echo(
                     f"      restricted-basis infimum {_fmt(report.diagnostics.restricted_infimum)}"
                 )
 
@@ -348,11 +355,11 @@ def demon(input_path, family, params, seed, restarts, kt, as_json):
     if as_json:
         _echo_json(_ledger_payload(ledger))
     else:
-        click.echo(
+        _echo(
             f"W+ {_fmt(ledger.w_plus)}  W_L {_fmt(ledger.w_local)}  "
             f"W2 {_fmt(ledger.w2)}  W3 {_fmt(ledger.w3)}  (kT={ledger.kt})"
         )
-        click.echo(
+        _echo(
             f"dL {_fmt(ledger.delta_l)}  d2 {_fmt(ledger.delta_2)}  d3 {_fmt(ledger.delta_3)}"
         )
 
@@ -403,16 +410,16 @@ def table1(seed, restarts, params, as_json):
             "locally_measurable_source": "cited from prior literature, not computed",
         })
         return
-    click.echo(f"{'states':<50} {'discord':<24} locally measurable (cited)")
+    _echo(f"{'states':<50} {'discord':<24} locally measurable (cited)")
     for row in rows:
         if row["d1_b"] is None:
             discord_text = f"D1^A = {_fmt(row['d1_a'])}"
         else:
             discord_text = f"D^A = {_fmt(row['d1_a'])}, D^B = {_fmt(row['d1_b'])}"
-        click.echo(f"{row['states']:<50} {discord_text:<24} {row['locally_measurable']}")
+        _echo(f"{row['states']:<50} {discord_text:<24} {row['locally_measurable']}")
     for row in rows:
         for note in row["notes"]:
-            click.echo(f"note: {note}")
+            _echo(f"note: {note}")
 
 
 @main.group()
@@ -424,7 +431,7 @@ def states() -> None:
 def states_list() -> None:
     """Show families and their parameters."""
     for name in FAMILIES:
-        click.echo(f"{name:<22} {FAMILIES[name].summary}")
+        _echo(f"{name:<22} {FAMILIES[name].summary}")
 
 
 @states.command("emit")
@@ -442,7 +449,7 @@ def states_emit(family, params, explicit, output):
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
-        click.echo(text)
+        _echo(text)
 
 
 if __name__ == "__main__":

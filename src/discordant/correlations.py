@@ -65,15 +65,34 @@ def mutual_information(state: BipartiteState) -> float:
     return state_entropies(state).mutual_information
 
 
+def _row_entropies(values: np.ndarray) -> np.ndarray:
+    """``entropy_of_eigenvalues`` of each row (last axis) of ``values``, bit for bit.
+
+    A dropped entry becomes 1.0, whose term 1.0 * log2(1.0) is exactly 0.0,
+    and numpy adds fewer than 8 terms one after another, so the zeros change
+    no sum. From 8 terms on its pairwise sum groups them by position, so such
+    rows are taken one at a time.
+    """
+    if values.shape[-1] >= 8:
+        rows = [entropy_of_eigenvalues(row) for row in values.reshape(-1, values.shape[-1])]
+        return np.reshape(rows, values.shape[:-1])
+    kept = np.where(values > SUPPORT_CLIP, values, 1.0)
+    return 0.0 - np.sum(kept * np.log2(kept), axis=-1)
+
+
 def _measured_entropy(blocks: np.ndarray):
     """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)) of the
-    stacked ``conditional_blocks`` of one measurement."""
-    probs = np.einsum("kii->k", blocks).real
+    ``conditional_blocks`` of one measurement, stacked over their leading axes.
+
+    Outcomes at or below OUTCOME_CLIP add 0.0 in their place of the sum over k.
+    """
+    probs = np.einsum("...kii->...k", blocks).real
     spectra = np.linalg.eigvalsh(blocks)
+    kept = probs > OUTCOME_CLIP
+    terms = np.where(kept, probs * _row_entropies(spectra / np.where(kept, probs, 1.0)[..., None]), 0.0)
     s_conditional = 0.0
-    for p, spectrum in zip(probs, spectra):
-        if p > OUTCOME_CLIP:
-            s_conditional += p * entropy_of_eigenvalues(spectrum / p)
+    for k in range(terms.shape[-1]):
+        s_conditional = s_conditional + terms[..., k]
     return probs, spectra, s_conditional
 
 

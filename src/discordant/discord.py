@@ -11,7 +11,6 @@ Measures (all in bits, all over rank-1 projective measurements):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import product
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlations import _measured_entropy, entropy_of_eigenvalues, mutual_information, state_entropies
+from .correlations import _measured_entropy, _row_entropies, entropy_of_eigenvalues, mutual_information, state_entropies
 from .exceptions import InvalidParameters
 from .measurement import (
     ProjectiveMeasurement,
@@ -58,11 +57,10 @@ class OptimizerConfig:
 
     restarts: int = 20
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         # Booleans are Integral too, but True is not a count or a seed.
-        for name, floor in (("restarts", 1), ("seed", 0), ("threads", 1)):
+        for name, floor in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise InvalidParameters(f"{name} must be an integer, got {value!r}")
@@ -177,23 +175,25 @@ class _EvaluationCap(Exception):
     """Raised in place of the evaluation past ``MAX_EVALUATIONS``."""
 
 
-def _nelder_mead(objective, start: np.ndarray) -> _SimplexResult:
-    """One Nelder-Mead simplex from ``start``, stopped at ``MAX_EVALUATIONS``
-    evaluations; an empty start, the one point of a chart without angles, is
-    evaluated once. Each step, comparison, sort and cap check is that of the
-    reference implementation (see the README), which the tests match bit for bit.
+def _simplex(start: np.ndarray):
+    """One Nelder-Mead simplex from ``start``, as a generator: it yields each
+    point to evaluate, takes its value through ``send`` and returns the
+    ``_SimplexResult``. It stops at ``MAX_EVALUATIONS`` evaluations; an empty
+    start, the one point of a chart without angles, is evaluated once. Each
+    step, comparison, sort and cap check is that of the reference
+    implementation (see the README), which the tests match bit for bit.
     """
     if start.size == 0:
-        return _SimplexResult(start, objective(start), True, 1)
+        return _SimplexResult(start, (yield start), True, 1)
     cap = MAX_EVALUATIONS
     calls = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: np.ndarray):
         nonlocal calls
         if calls >= cap:
             raise _EvaluationCap
         calls += 1
-        return objective(x)
+        return (yield x)
 
     n = start.size
     sim = np.array([start] * (n + 1), dtype=float)
@@ -202,46 +202,76 @@ def _nelder_mead(objective, start: np.ndarray) -> _SimplexResult:
     fsim = np.full(n + 1, np.inf)
     with suppress(_EvaluationCap):
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     # argsort is not stable, so the second sort can still reorder tied values.
     for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        sim, fsim = sim[order], fsim[order]
 
     while calls < cap:
         with suppress(_EvaluationCap):
-            if np.max(np.abs(sim[1:] - sim[0])) <= 1e-6 and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_TOLERANCE:
+            if np.abs(sim[1:] - sim[0]).max() <= 1e-6 and np.abs(fsim[0] - fsim[1:]).max() <= SIMPLEX_TOLERANCE:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             if fxr < fsim[0]:
                 xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 outside = fxr < fsim[-1]
                 xc = (1.5 * xbar - 0.5 * sim[-1]) if outside else (0.5 * xbar + 0.5 * sim[-1])
-                fxc = f(xc)
+                fxc = yield from f(xc)
                 if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return _SimplexResult(sim[0], np.min(fsim), calls < cap, calls)
+                        fsim[j] = yield from f(sim[j])
+        order = fsim.argsort()
+        sim, fsim = sim[order], fsim[order]
+    return _SimplexResult(sim[0], fsim.min(), calls < cap, calls)
+
+
+def _lockstep(objective, starts: list[np.ndarray]) -> list[_SimplexResult]:
+    """The ``_simplex`` result of each start, with all simplices advanced
+    together: each round stacks the pending point of every unfinished simplex
+    into one (m, n) call of ``objective``, which returns the m values. A
+    stacked value equals the value of the point alone, bit for bit, so each
+    simplex takes the steps it would take alone.
+    """
+    runs = [_simplex(start) for start in starts]
+    results: list[_SimplexResult | None] = [None] * len(runs)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, value) -> None:
+        try:
+            pending[i] = runs[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        indices = list(pending)
+        for i, value in zip(indices, objective(np.array([pending[i] for i in indices]))):
+            advance(i, value)
+    return results
 
 
 def _multistart(objective, first: np.ndarray, config: OptimizerConfig):
     """(best simplex result, diagnostics) of one simplex from ``first`` and one
     from each of ``config.restarts`` random starts seeded by ``config.seed``.
 
-    An empty ``first`` is the only point of its chart and runs alone. Ties
-    within 1e-10 resolve to the lowest start index, ``first`` being 0.
+    ``objective`` maps an (m, n) stack of points to their m values. The starts
+    run in ``_lockstep``, each exactly as it would run alone, and are reduced
+    in start order. An empty ``first`` is the only point of its chart and runs
+    alone. Ties within 1e-10 resolve to the lowest start index, ``first``
+    being 0.
 
     ``converged`` means that a simplex reaching the best value stopped within
     tolerance. It is not a certificate of the global minimum: every start can
@@ -255,11 +285,7 @@ def _multistart(objective, first: np.ndarray, config: OptimizerConfig):
         start[0::2] = rng.uniform(0.0, np.pi, first.size // 2)
         start[1::2] = rng.uniform(0.0, 2 * np.pi, first.size // 2)
         starts.append(start)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda start: _nelder_mead(objective, start), starts))
-    else:
-        results = [_nelder_mead(objective, start) for start in starts]
+    results = _lockstep(objective, starts)
     best = results[0]
     for result in results[1:]:
         if result.fun < best.fun - 1e-10:
@@ -296,11 +322,11 @@ def optimize_discord(
     s_side, _, s_ab = _entropies(state, side)
     constant = (s_side - s_ab) if measure == "D1" else -s_ab
 
-    def objective(params: np.ndarray) -> float:
+    def objective(params: np.ndarray) -> np.ndarray:
         probs, _, s_conditional = _conditional_entropy(state, basis_from_parameters(params, d), side)
         if measure == "D1":
             return s_conditional + constant
-        return entropy_of_eigenvalues(probs) + s_conditional + constant
+        return _row_entropies(probs) + s_conditional + constant
 
     first = _parameters_for_basis(eig(state.marginal(side)).eigenvectors)
     best, diagnostics = _multistart(objective, first, config)
@@ -332,7 +358,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
     if system.is_degenerate:
         planes = [(p, q) for group in system.degeneracy_groups for p in group for q in group if p < q]
 
-        def restricted_objective(params: np.ndarray) -> float:
+        def restricted_objective(params: np.ndarray) -> np.ndarray:
             rotation = _givens_product(params, len(basis), planes)
             _, _, s_cond = _conditional_entropy(state, basis @ rotation, side)
             return s_side + s_cond - s_ab

@@ -68,30 +68,34 @@ def _planes(d: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(d) for q in range(p + 1, d)]
 
 
-def _givens(d: int, p: int, q: int, theta: float, phi: float) -> np.ndarray:
-    g = np.eye(d, dtype=complex)
+def _givens(d: int, p: int, q: int, theta, phi) -> np.ndarray:
+    """G(p, q, theta, phi), stacked over the shape of ``theta`` and ``phi``."""
+    g = np.empty(np.shape(theta) + (d, d), dtype=complex)
+    g[...] = np.eye(d)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    g[p, p] = c
-    g[q, q] = c
-    g[p, q] = -np.exp(1j * phi) * s
-    g[q, p] = np.exp(-1j * phi) * s
+    g[..., p, p] = c
+    g[..., q, q] = c
+    g[..., p, q] = -np.exp(1j * phi) * s
+    g[..., q, p] = np.exp(-1j * phi) * s
     return g
 
 
 def basis_from_parameters(params, d: int) -> np.ndarray:
-    """Unitary whose columns are the chart point for the given angles."""
-    x = np.asarray(params, dtype=float).ravel()
-    if x.size != d * (d - 1):
-        raise InvalidParameters(f"need {d * (d - 1)} angles for dimension {d}, got {x.size}")
+    """Unitary whose columns are the chart point for the given angles, stacked
+    over the leading axes of ``params``."""
+    x = np.atleast_1d(np.asarray(params, dtype=float))
+    if x.shape[-1] != d * (d - 1):
+        raise InvalidParameters(f"need {d * (d - 1)} angles for dimension {d}, got {x.shape[-1]}")
     return _givens_product(x, d, _planes(d))
 
 
 def _givens_product(params, d: int, planes) -> np.ndarray:
-    """Product of the rotations G(p, q, params[2k], params[2k + 1]) over the
-    k-th plane (p, q) of ``planes``, in order; the identity for no planes."""
-    rotations = [_givens(d, p, q, params[2 * k], params[2 * k + 1]) for k, (p, q) in enumerate(planes)]
+    """Product of the rotations G(p, q, params[..., 2k], params[..., 2k + 1])
+    over the k-th plane (p, q) of ``planes``, in order; the identity for no
+    planes. Leading axes of ``params`` stack the products."""
+    rotations = [_givens(d, p, q, params[..., 2 * k], params[..., 2 * k + 1]) for k, (p, q) in enumerate(planes)]
     if not rotations:
-        return np.eye(d, dtype=complex)
+        return np.broadcast_to(np.eye(d, dtype=complex), params.shape[:-1] + (d, d)).copy()
     # A lone rotation (d = 2) has -0.0 entries at zero phase; adding 0.0 maps
     # them to +0.0, as matrix products do, so --json never prints -0.0 here.
     return reduce(np.matmul, rotations) + 0.0
@@ -123,14 +127,14 @@ def _parameters_for_basis(basis: np.ndarray) -> np.ndarray:
 def conditional_blocks(rho: np.ndarray, dims: tuple[int, int], basis: np.ndarray, side: str) -> np.ndarray:
     """Unnormalized conditional operators <u_k| rho |u_k> on the unmeasured side.
 
-    Returns an array of shape (d_side, d_other, d_other); the trace of block k
-    is the outcome probability p_k.
+    Returns an array of shape (..., d_side, d_other, d_other), stacked over the
+    leading axes of ``basis``; the trace of block k is the outcome probability p_k.
     """
     d_a, d_b = dims
     r4 = rho.reshape(d_a, d_b, d_a, d_b)
     if side == "A":
-        return np.einsum("ak,aibj,bk->kij", basis.conj(), r4, basis)
-    return np.einsum("ik,aibj,jk->kab", basis.conj(), r4, basis)
+        return np.einsum("...ak,aibj,...bk->...kij", basis.conj(), r4, basis)
+    return np.einsum("...ik,aibj,...jk->...kab", basis.conj(), r4, basis)
 
 
 def _check_dims(state: BipartiteState, m: ProjectiveMeasurement) -> None:

@@ -43,7 +43,7 @@ def test_public_surface_is_pinned():
 
 def test_optimizer_config_fields():
     fields = list(discordant.OptimizerConfig.__dataclass_fields__)
-    assert fields == ["restarts", "seed", "threads"]
+    assert fields == ["restarts", "seed"]
 
 
 def test_work_ledger_fields():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from discordant import (
     optimize_discord,
     von_neumann_entropy,
 )
-from discordant.correlations import entropy_of_eigenvalues, state_entropies
-from discordant.measurement import basis_from_parameters
+from discordant.correlations import _measured_entropy, _row_entropies, entropy_of_eigenvalues, state_entropies
+from discordant.measurement import basis_from_parameters, conditional_blocks
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
@@ -240,6 +242,59 @@ class TestCerfAdamiConditionalEntropy:
             left = cerf_adami_conditional_entropy(state)
             right = conditional_entropy_after_measurement(state, m) - discord_d1_at(state, m).value
             assert left == pytest.approx(right, abs=1e-9)
+
+
+def conditional_entropy_one_outcome_at_a_time(blocks):
+    """sum_k p_k S(rho_other | k) over one measurement's blocks, one outcome at a time."""
+    total = 0.0
+    for p, spectrum in zip(np.einsum("kii->k", blocks).real, np.linalg.eigvalsh(blocks)):
+        if p > 1e-12:
+            total += p * entropy_of_eigenvalues(spectrum / p)
+    return total
+
+
+class TestStackedKernel:
+    """The stacked entropy kernel equals the one-row, one-outcome sums bit for bit."""
+
+    def test_row_entropies_equal_entropy_of_eigenvalues_row_by_row(self):
+        rng = np.random.default_rng(53)
+        dropped = np.array([0.0, -0.0, 1e-12, 3e-13, -2e-16])
+        for width in range(2, 13):
+            rows = rng.dirichlet(np.ones(width), size=60)
+            for row in rows[1:]:
+                k = rng.integers(0, width)
+                row[rng.choice(width, k, replace=False)] = rng.choice(dropped, k)
+            rows[0] = 0.0
+            if width >= 8:
+                assert any(np.sum(row > 1e-12) >= 3 for row in rows)
+            stacked = _row_entropies(rows.reshape(6, 10, width))
+            assert stacked.shape == (6, 10)
+            for row, value in zip(rows, stacked.ravel()):
+                expected = entropy_of_eigenvalues(row)
+                assert value == expected and np.signbit(value) == np.signbit(expected)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_stacked_bases_equal_each_basis_alone(self, side):
+        # rho_A = diag(1, 0) of the null_a state gives an outcome with p = 0 in
+        # the computational basis; (2, 9) has rows of width 9 on both sides.
+        rng = np.random.default_rng(59)
+        null_a = classical_classical_state(np.array([[0.5, 0.5], [0.0, 0.0]]))
+        states = [null_a, random_state((2, 3), seed=5), random_state((3, 2), rank=2, seed=6),
+                  random_state((2, 9), seed=7)]
+        for state in states:
+            d = state.d_a if side == "A" else state.d_b
+            bases = np.array([np.eye(d), *haar_bases(5, d, rng)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                probs, spectra, s_conditional = _measured_entropy(conditional_blocks(state.rho, state.dims, bases, side))
+            assert s_conditional.shape == (len(bases),)
+            for k, basis in enumerate(bases):
+                blocks = conditional_blocks(state.rho, state.dims, basis, side)
+                assert probs[k].tobytes() == np.einsum("kii->k", blocks).real.tobytes()
+                assert spectra[k].tobytes() == np.linalg.eigvalsh(blocks).tobytes()
+                expected = conditional_entropy_one_outcome_at_a_time(blocks)
+                m = ProjectiveMeasurement(side, basis)
+                assert s_conditional[k] == expected == conditional_entropy_after_measurement(state, m)
 
 
 class TestInformationFunction:

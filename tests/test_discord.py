@@ -74,14 +74,24 @@ def recorded_searches(monkeypatch, run):
     stops at its start."""
     searches = []
 
-    def first_point_only(objective, start):
-        searches.append((objective, start))
-        return discord_module._SimplexResult(start, objective(start), True, 1)
+    def first_points_only(objective, starts):
+        searches.extend((objective, start) for start in starts)
+        return [discord_module._SimplexResult(start, objective(start[None])[0], True, 1) for start in starts]
 
     with monkeypatch.context() as patched:
-        patched.setattr(discord_module, "_nelder_mead", first_point_only)
+        patched.setattr(discord_module, "_lockstep", first_points_only)
         run()
     return searches
+
+
+def run_alone(objective, start):
+    """The simplex from ``start`` with no other simplex beside it."""
+    return discord_module._lockstep(objective, [start])[0]
+
+
+def one_point(objective):
+    """The stacked ``objective`` as a function of one point."""
+    return lambda x: objective(np.asarray(x)[None])[0]
 
 
 class TestMeasurementFixedValues:
@@ -203,27 +213,17 @@ class TestOptimizer:
         assert first.value == second.value
         assert first.diagnostics.best_per_restart == second.diagnostics.best_per_restart
 
-    def test_threaded_matches_serial(self):
-        state = random_state((2, 2), seed=101)
-        serial = optimize_discord("D1", state, config=OptimizerConfig(restarts=4, seed=3))
-        threaded = optimize_discord(
-            "D1", state, config=OptimizerConfig(restarts=4, seed=3, threads=4)
-        )
-        assert serial.value == threaded.value
-        assert serial.diagnostics.best_per_restart == threaded.diagnostics.best_per_restart
-
     @pytest.mark.parametrize("field, value", [
         ("restarts", 0), ("restarts", 2.5), ("restarts", float("inf")), ("restarts", float("nan")),
         ("restarts", True), ("seed", -1), ("seed", 1.5), ("seed", "1"), ("seed", None),
-        ("threads", 0), ("threads", 2.0), ("threads", False),
     ])
     def test_config_requires_integers_at_or_above_floor(self, field, value):
         with pytest.raises(InvalidParameters, match=f"^{field} must be "):
             OptimizerConfig(**{field: value})
 
     def test_config_accepts_numpy_integers(self):
-        config = OptimizerConfig(restarts=np.int64(2), seed=np.uint32(7), threads=np.int8(1))
-        assert (config.restarts, config.seed, config.threads) == (2, 7, 1)
+        config = OptimizerConfig(restarts=np.int64(2), seed=np.uint32(7))
+        assert (config.restarts, config.seed) == (2, 7)
 
     def test_side_b(self):
         # The example family is classically conditioned on B, so D1 on side B vanishes.
@@ -254,15 +254,18 @@ class TestOptimizer:
     @pytest.mark.parametrize("measure", ["D1", "D2"])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2)])
     def test_search_objective_equals_entropy_profile_value(self, monkeypatch, measure, dims):
-        # Capture the objective that optimize_discord hands to Nelder-Mead.
+        # Capture the objective that optimize_discord hands to the simplices and
+        # evaluate 50 points in one stacked call.
         state = random_state(dims, seed=41)
         config = OptimizerConfig(restarts=1)
         objective = recorded_searches(monkeypatch, lambda: optimize_discord(measure, state, config=config))[0][0]
         s_side, _, s_ab = discord_module._entropies(state, "A")
         rng = np.random.default_rng(dims[0])
         d = dims[0]
-        for _ in range(50):
-            params = rng.uniform(0.0, 2 * np.pi, d * (d - 1))
+        stack = rng.uniform(0.0, 2 * np.pi, (50, d * (d - 1)))
+        values = objective(stack)
+        assert values.shape == (50,)
+        for params, value in zip(stack, values):
             h, s_conditional, _ = discord_module._entropy_profile(
                 state, basis_from_parameters(params, d), "A"
             )
@@ -270,7 +273,7 @@ class TestOptimizer:
                 expected = s_conditional + (s_side - s_ab)
             else:
                 expected = h + s_conditional + (-s_ab)
-            assert objective(params) == expected
+            assert value == expected
 
 
 class TestD3:
@@ -335,29 +338,29 @@ class TestD3:
         assert discord_d3(example_state(0.5, 0.5)).diagnostics == OptimizerDiagnostics()
 
     def test_every_simplex_is_capped_at_max_evaluations(self, monkeypatch):
-        # Every start runs through _nelder_mead, once each ...
+        # Every start runs through _lockstep, once each ...
         config = OptimizerConfig(restarts=1)
         state = example_state(0.5, 0.5)
         assert len(recorded_searches(monkeypatch, lambda: optimize_discord("D1", state, config=config))) == 2
         assert len(recorded_searches(monkeypatch, lambda: discord_d3(bell_mixture(0.25)))) == 21
-        # ... and _nelder_mead stops a search that never settles at the cap.
+        # ... and a simplex that never settles stops at the cap.
         noise = np.random.default_rng(5)
-        result = discord_module._nelder_mead(lambda x: noise.random(), np.zeros(2))
+        result = run_alone(lambda points: noise.random(len(points)), np.zeros(2))
         assert result.nfev == discord_module.MAX_EVALUATIONS
         assert not result.success
 
 
 class TestSimplexParity:
-    """``_nelder_mead`` against scipy's Nelder-Mead at the same options, bit
-    for bit, on the search objectives and with caps inside, at and past the
-    starting simplex."""
+    """One simplex run alone against scipy's Nelder-Mead at the same options,
+    bit for bit, on the search objectives and with caps inside, at and past
+    the starting simplex."""
 
     @staticmethod
     def _assert_matches_scipy(objective, start):
-        ours = discord_module._nelder_mead(objective, start)
+        ours = run_alone(objective, start)
         cap = discord_module.MAX_EVALUATIONS
         options = dict(fatol=discord_module.SIMPLEX_TOLERANCE, xatol=1e-6, maxfev=cap, maxiter=cap)
-        reference = minimize(objective, start, method="Nelder-Mead", options=options)
+        reference = minimize(one_point(objective), start, method="Nelder-Mead", options=options)
         assert np.array_equal(ours.x, reference.x)
         assert (ours.fun, ours.nfev, ours.success) == (reference.fun, reference.nfev, reference.success)
         return ours
@@ -368,6 +371,7 @@ class TestSimplexParity:
         state = random_state(dims, seed=seed)
         config = OptimizerConfig(restarts=1, seed=seed)
         searches = recorded_searches(monkeypatch, lambda: optimize_discord(measure, state, config=config))
+        assert len(searches) == 2
         results = [self._assert_matches_scipy(objective, start) for objective, start in searches]
         if (dims, measure) == ((4, 2), "D1"):
             assert [r.success for r in results] == [False, False]
@@ -388,15 +392,71 @@ class TestSimplexParity:
         state = random_state((3, 2), seed=9)
         config = OptimizerConfig(restarts=1)
         searches = recorded_searches(monkeypatch, lambda: optimize_discord("D1", state, config=config))
-        quartic = (lambda x: float(np.sum((x - 0.3) ** 4)), np.array([0.5, 0.0, 1.0, 2.0]))
+        assert len(searches) == 2
+        quartic = (lambda points: np.sum((points - 0.3) ** 4, axis=-1), np.array([0.5, 0.0, 1.0, 2.0]))
         for objective, start in [*searches, quartic]:
             result = self._assert_matches_scipy(objective, start)
             assert result.nfev == cap and not result.success
 
     def test_empty_start_is_evaluated_once(self):
-        result = discord_module._nelder_mead(lambda x: 0.25, np.empty(0))
+        result = run_alone(lambda points: np.full(len(points), 0.25), np.empty(0))
         assert result.x.size == 0
         assert (result.fun, result.nfev, result.success) == (0.25, 1, True)
+
+
+class TestLockstep:
+    """Each simplex of a lockstep run ends exactly where it ends alone."""
+
+    @staticmethod
+    def _assert_each_runs_as_alone(objective, starts):
+        together = discord_module._lockstep(objective, starts)
+        assert len(together) == len(starts)
+        for start, ours in zip(starts, together):
+            alone = run_alone(objective, start)
+            assert np.array_equal(ours.x, alone.x)
+            assert (ours.fun, ours.nfev, ours.success) == (alone.fun, alone.nfev, alone.success)
+        return together
+
+    @pytest.mark.parametrize("measure", ["D1", "D2"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 4), (4, 2)])
+    def test_search_objectives(self, monkeypatch, measure, dims):
+        state = random_state(dims, seed=sum(dims))
+        config = OptimizerConfig(restarts=3, seed=2)
+        searches = recorded_searches(monkeypatch, lambda: optimize_discord(measure, state, config=config))
+        objective = searches[0][0]
+        self._assert_each_runs_as_alone(objective, [start for _, start in searches])
+
+    def test_restricted_objective_of_a_degenerate_marginal(self, monkeypatch):
+        searches = recorded_searches(monkeypatch, lambda: discord_d3(bell_mixture(0.25)))
+        assert len(searches) == 21
+        self._assert_each_runs_as_alone(searches[0][0], [start for _, start in searches])
+
+    @pytest.mark.parametrize("cap", [1, 5, 13])
+    def test_patched_caps(self, monkeypatch, cap):
+        state = random_state((3, 2), seed=9)
+        searches = recorded_searches(monkeypatch, lambda: optimize_discord("D1", state, config=OptimizerConfig(restarts=3)))
+        monkeypatch.setattr(discord_module, "MAX_EVALUATIONS", cap)
+        results = self._assert_each_runs_as_alone(searches[0][0], [start for _, start in searches])
+        assert all(r.nfev == cap and not r.success for r in results)
+
+    def test_capped_simplex_beside_converging_ones(self, monkeypatch):
+        # A bowl, except that points with a first coordinate above 50 fall
+        # off without bound: the start there expands until the cap.
+        def objective(points):
+            return np.where(points[:, 0] > 50, -np.sum(points, axis=-1), np.sum(points ** 2, axis=-1))
+
+        monkeypatch.setattr(discord_module, "MAX_EVALUATIONS", 400)
+        starts = [np.array([1.0, 2.0]), np.array([100.0, 100.0]), np.array([-3.0, 0.5])]
+        results = self._assert_each_runs_as_alone(objective, starts)
+        assert [r.success for r in results] == [True, False, True]
+        assert results[1].nfev == 400 and results[0].nfev < 400
+
+    def test_empty_start_of_a_one_dimensional_side(self, monkeypatch):
+        state = BipartiteState((1, 2), np.diag([0.5, 0.5]))
+        searches = recorded_searches(monkeypatch, lambda: optimize_discord("D2", state, config=FAST))
+        assert len(searches) == 1 and searches[0][1].size == 0
+        [result] = self._assert_each_runs_as_alone(searches[0][0], [searches[0][1]])
+        assert (result.nfev, result.success) == (1, True)
 
 
 class TestLuoBellDiagonal:

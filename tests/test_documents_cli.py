@@ -1,10 +1,13 @@
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -340,6 +343,25 @@ class TestCliBasics:
         assert result.exit_code == 1
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_redirected_streams_are_freed(self):
+        # click caches each stream that echo looks up itself and keeps it
+        # alive, so in-process calls would leak every redirected buffer.
+        buffers = []
+        for args, code, buffer_of_output in [
+            (("classify", "--family", "bell_mixture", "--param", "a=0.3", "--json"), 1, 0),
+            (("classify", "--family", "bell_mixture", "--param", "a=2"), 3, 1),
+            (("states", "list"), 0, 0),
+        ]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as stop:
+                main(list(args))
+            assert stop.value.code == code
+            assert [out, err][buffer_of_output].getvalue()
+            buffers += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref() for ref in buffers] == [None] * 6
+
     def test_environment_does_not_set_optimizer_options(self):
         args = ("analyze", "--family", "example_state", "--param", "b=0.3", "--param", "c=0.4",
                 "--json")
@@ -349,7 +371,7 @@ class TestCliBasics:
         assert plain.exit_code == with_env.exit_code == 0
         assert plain.output == with_env.output
         assert json.loads(plain.output)["settings"] == {
-            "restarts": 20, "seed": 0, "threads": 1, "tolerance": 1e-9,
+            "restarts": 20, "seed": 0, "tolerance": 1e-9,
         }
 
     @pytest.mark.parametrize("command, patched", [
@@ -661,7 +683,7 @@ def _analysis_tree(witness_a, witness_b):
         },
         "entropies": dict.fromkeys(("mutual_information", "s_a", "s_ab", "s_b")),
         "notes": None,
-        "settings": dict.fromkeys(("restarts", "seed", "threads", "tolerance")),
+        "settings": dict.fromkeys(("restarts", "seed", "tolerance")),
         "state": dict.fromkeys(("dims", "purity", "spectrum_a", "spectrum_ab", "spectrum_b")),
         "warnings": None,
     }

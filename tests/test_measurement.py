@@ -91,6 +91,26 @@ class TestChart:
             # Bytes, not ==, so that signed zeros must match as well.
             assert basis_from_parameters(params, d).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 4), (4, 3)])
+    def test_stacked_chart_and_blocks_equal_each_point_alone(self, dims, side):
+        # Bytes, so that signed zeros match too; the one-point blocks are the
+        # einsum without a stack axis.
+        rng = np.random.default_rng(29)
+        state = random_state(dims, seed=31)
+        d = dims[0] if side == "A" else dims[1]
+        stack = rng.uniform(-np.pi, np.pi, (2, 7, d * (d - 1)))
+        stack[0, 0] = 0.0
+        bases = basis_from_parameters(stack, d)
+        blocks = conditional_blocks(state.rho, dims, bases, side)
+        assert bases.shape == (2, 7, d, d)
+        r4 = state.rho.reshape(dims[0], dims[1], dims[0], dims[1])
+        spec = "ak,aibj,bk->kij" if side == "A" else "ik,aibj,jk->kab"
+        for index in np.ndindex(2, 7):
+            basis = basis_from_parameters(stack[index], d)
+            assert bases[index].tobytes() == basis.tobytes()
+            assert blocks[index].tobytes() == np.einsum(spec, basis.conj(), r4, basis).tobytes()
+
     def test_parameter_count(self):
         with pytest.raises(InvalidParameters, match="need 2 angles"):
             basis_from_parameters(np.zeros(3), 2)
