@@ -1,6 +1,8 @@
 """Entropies, mutual information, the conditional-operator construction, and
 one-way purification rates. Everything is in bits; entropies and logarithms
-drop eigenvalues at or below SUPPORT_CLIP (1e-12).
+drop eigenvalues at or below SUPPORT_CLIP (1e-12). ``entropy_of_eigenvalues``
+takes a stack of rows, and ``_measured_entropy`` is the one kernel behind
+every quantity at a measured basis, from (state, basis, side).
 """
 
 from __future__ import annotations
@@ -20,17 +22,24 @@ from .operator_core import SUPPORT_CLIP, matrix_log_on_support, require_hermitia
 from .states import BipartiteState, validate_density_matrix
 
 
-def entropy_of_eigenvalues(values) -> float:
-    """-sum(v log2 v) over entries above SUPPORT_CLIP (1e-12); no validation.
+def entropy_of_eigenvalues(values):
+    """-sum(v log2 v) over the entries above SUPPORT_CLIP (1e-12) of each row
+    (last axis) of ``values``, no validation: a float for 1-D input, else an
+    array (N-D input is not raveled). A pure row gives +0.0, not -0.0.
 
-    A pure spectrum gives +0.0: the sum there is 0.0, and negating it would
-    give -0.0.
+    Rows shorter than 8 put 1.0 in place of a dropped entry: its term is
+    exactly 0.0, and numpy adds fewer than 8 terms one after another. From 8
+    terms on its pairwise sum groups them by position, so each such row
+    drops its entries itself.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    v = v[v > SUPPORT_CLIP]
-    if v.size == 0:
-        return 0.0
-    return 0.0 - float(np.sum(v * np.log2(v)))
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1] < 8:
+        kept = np.where(v > SUPPORT_CLIP, v, 1.0)
+        total = np.sum(kept * np.log2(kept), axis=-1)
+    else:
+        rows = [row[row > SUPPORT_CLIP] for row in v.reshape(-1, v.shape[-1])]
+        total = np.reshape([np.sum(row * np.log2(row)) for row in rows], v.shape[:-1])
+    return float(0.0 - total) if v.ndim == 1 else 0.0 - total
 
 
 def von_neumann_entropy(rho) -> float:
@@ -65,31 +74,15 @@ def mutual_information(state: BipartiteState) -> float:
     return state_entropies(state).mutual_information
 
 
-def _row_entropies(values: np.ndarray) -> np.ndarray:
-    """``entropy_of_eigenvalues`` of each row (last axis) of ``values``, bit for bit.
-
-    A dropped entry becomes 1.0, whose term 1.0 * log2(1.0) is exactly 0.0,
-    and numpy adds fewer than 8 terms one after another, so the zeros change
-    no sum. From 8 terms on its pairwise sum groups them by position, so such
-    rows are taken one at a time.
-    """
-    if values.shape[-1] >= 8:
-        rows = [entropy_of_eigenvalues(row) for row in values.reshape(-1, values.shape[-1])]
-        return np.reshape(rows, values.shape[:-1])
-    kept = np.where(values > SUPPORT_CLIP, values, 1.0)
-    return 0.0 - np.sum(kept * np.log2(kept), axis=-1)
-
-
-def _measured_entropy(blocks: np.ndarray):
-    """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)) of the
-    ``conditional_blocks`` of one measurement, stacked over their leading axes.
-
-    Outcomes at or below OUTCOME_CLIP add 0.0 in their place of the sum over k.
-    """
+def _measured_entropy(state: BipartiteState, basis: np.ndarray, side: str):
+    """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)) of
+    measuring ``side`` of ``state`` in ``basis``, stacked over the leading axes
+    of ``basis``. An outcome at or below OUTCOME_CLIP adds 0.0 in its place."""
+    blocks = conditional_blocks(state.rho, state.dims, basis, side)
     probs = np.einsum("...kii->...k", blocks).real
     spectra = np.linalg.eigvalsh(blocks)
     kept = probs > OUTCOME_CLIP
-    terms = np.where(kept, probs * _row_entropies(spectra / np.where(kept, probs, 1.0)[..., None]), 0.0)
+    terms = np.where(kept, probs * entropy_of_eigenvalues(spectra / np.where(kept, probs, 1.0)[..., None]), 0.0)
     s_conditional = 0.0
     for k in range(terms.shape[-1]):
         s_conditional = s_conditional + terms[..., k]
@@ -100,8 +93,7 @@ def conditional_entropy_after_measurement(state: BipartiteState, m: ProjectiveMe
     """Average entropy of the unmeasured side over the measurement outcomes:
     sum_a p_a S(rho_other | outcome a)."""
     _check_dims(state, m)
-    blocks = conditional_blocks(state.rho, state.dims, m.basis, m.subsystem)
-    return float(_measured_entropy(blocks)[2])
+    return float(_measured_entropy(state, m.basis, m.subsystem)[2])
 
 
 def cerf_adami_operator(state: BipartiteState) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlations import _measured_entropy, _row_entropies, entropy_of_eigenvalues, mutual_information, state_entropies
+from .correlations import _measured_entropy, entropy_of_eigenvalues, mutual_information, state_entropies
 from .exceptions import InvalidParameters
 from .measurement import (
     ProjectiveMeasurement,
@@ -28,9 +28,8 @@ from .measurement import (
     _givens_product,
     _parameters_for_basis,
     basis_from_parameters,
-    conditional_blocks,
 )
-from .operator_core import _side, commutator_norm, eig
+from .operator_core import _oriented, _side, commutator_norm, eig
 from .states import BipartiteState
 
 # Nominal zero threshold for discord values; the classifier treats a decisive
@@ -117,18 +116,9 @@ class MeasuredDiscord(NamedTuple):
     j_value: float
 
 
-def _conditional_entropy(state: BipartiteState, basis: np.ndarray, side: str):
-    """(outcome probabilities, block spectra, sum_k p_k S(rho_other | k)).
-
-    The search objectives call this directly: H(outcomes) and the
-    post-measurement entropy are left to the callers that report them.
-    """
-    return _measured_entropy(conditional_blocks(state.rho, state.dims, basis, side))
-
-
 def _entropy_profile(state: BipartiteState, basis: np.ndarray, side: str):
     """(H(outcomes), conditional entropy of the other side, post-measurement entropy)."""
-    probs, spectra, s_conditional = _conditional_entropy(state, basis, side)
+    probs, spectra, s_conditional = _measured_entropy(state, basis, side)
     return entropy_of_eigenvalues(probs), s_conditional, entropy_of_eigenvalues(spectra.ravel())
 
 
@@ -323,10 +313,10 @@ def optimize_discord(
     constant = (s_side - s_ab) if measure == "D1" else -s_ab
 
     def objective(params: np.ndarray) -> np.ndarray:
-        probs, _, s_conditional = _conditional_entropy(state, basis_from_parameters(params, d), side)
+        probs, _, s_conditional = _measured_entropy(state, basis_from_parameters(params, d), side)
         if measure == "D1":
             return s_conditional + constant
-        return _row_entropies(probs) + s_conditional + constant
+        return entropy_of_eigenvalues(probs) + s_conditional + constant
 
     first = _parameters_for_basis(eig(state.marginal(side)).eigenvectors)
     best, diagnostics = _multistart(objective, first, config)
@@ -360,7 +350,7 @@ def discord_d3(state: BipartiteState, side: str = "A") -> DiscordReport:
 
         def restricted_objective(params: np.ndarray) -> np.ndarray:
             rotation = _givens_product(params, len(basis), planes)
-            _, _, s_cond = _conditional_entropy(state, basis @ rotation, side)
+            _, _, s_cond = _measured_entropy(state, basis @ rotation, side)
             return s_side + s_cond - s_ab
 
         best, searched = _multistart(restricted_objective, np.zeros(2 * len(planes)), OptimizerConfig())
@@ -387,10 +377,8 @@ def _side_blocks(state: BipartiteState, side: str) -> list[np.ndarray]:
     # Matrix elements of rho in the other side's computational basis; each block
     # is an operator on the measured side. Simultaneous diagonalizability of the
     # family is equivalent to the product-form decomposition on that side.
-    r4 = state.rho.reshape(state.d_a, state.d_b, state.d_a, state.d_b)
-    if side == "A":
-        return [r4[:, i, :, j] for i, j in product(range(state.d_b), repeat=2)]
-    return [r4[a, :, b, :] for a, b in product(range(state.d_a), repeat=2)]
+    r4 = _oriented(state.rho.reshape(*state.dims, *state.dims), side)
+    return [r4[:, i, :, j] for i, j in product(range(r4.shape[1]), repeat=2)]
 
 
 def _block_commutator(blocks: list[np.ndarray]) -> float:

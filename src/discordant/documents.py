@@ -50,7 +50,8 @@ def _complex_from_pair(entry, where: str) -> complex:
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise DocumentError(f"{where}: complex entries must be [re, im] pairs, got {entry!r}")
     re, im = entry
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # JSON true and false decode to bool, which is an int subclass.
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry):
         raise DocumentError(f"{where}: [re, im] entries must be numbers, got {entry!r}")
     return complex(re, im)
 

@@ -13,7 +13,9 @@ plane at theta = pi/2, phi = 0 gives the sigma_x eigenbasis. Every rank-1
 projective measurement is reachable: a QR-style elimination recovers angles for
 any target basis (``_parameters_for_basis``, which gives the discord search its
 eigenbasis start), so the chart is surjective onto bases modulo per-vector
-phases, which projectors ignore.
+phases, which projectors ignore. Measurement updates see the state with the
+measured factor's indices first (``operator_core._oriented``), so one index
+pattern serves both sides.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .exceptions import InvalidParameters
-from .operator_core import _side
+from .operator_core import _oriented, _side
 from .states import BipartiteState
 
 COMPLETENESS_TOL = 1e-10
@@ -130,11 +132,8 @@ def conditional_blocks(rho: np.ndarray, dims: tuple[int, int], basis: np.ndarray
     Returns an array of shape (..., d_side, d_other, d_other), stacked over the
     leading axes of ``basis``; the trace of block k is the outcome probability p_k.
     """
-    d_a, d_b = dims
-    r4 = rho.reshape(d_a, d_b, d_a, d_b)
-    if side == "A":
-        return np.einsum("...ak,aibj,...bk->...kij", basis.conj(), r4, basis)
-    return np.einsum("...ik,aibj,...jk->...kab", basis.conj(), r4, basis)
+    r4 = _oriented(rho.reshape(*dims, *dims), side)
+    return np.einsum("...ak,aibj,...bk->...kij", basis.conj(), r4, basis)
 
 
 def _check_dims(state: BipartiteState, m: ProjectiveMeasurement) -> None:
@@ -155,10 +154,7 @@ def post_measurement_state(state: BipartiteState, m: ProjectiveMeasurement) -> B
     _check_dims(state, m)
     u = m.basis
     blocks = conditional_blocks(state.rho, state.dims, u, m.subsystem)
-    if m.subsystem == "A":
-        rho = np.einsum("ak,ck,kij->aicj", u, u.conj(), blocks)
-    else:
-        rho = np.einsum("ik,jk,kac->aicj", u, u.conj(), blocks)
+    rho = _oriented(np.einsum("ak,ck,kij->aicj", u, u.conj(), blocks), m.subsystem)
     return BipartiteState(state.dims, rho.reshape(state.dim, state.dim))
 
 

@@ -155,10 +155,13 @@ def partial_trace(matrix, dims: tuple[int, int], keep: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (d_a * d_b, d_a * d_b):
         raise InvalidParameters(f"operator shape {m.shape} incompatible with dims {dims}")
-    r = m.reshape(d_a, d_b, d_a, d_b)
-    if side == "A":
-        return np.einsum("ibjb->ij", r)
-    return np.einsum("aiaj->ij", r)
+    return np.einsum("ibjb->ij", _oriented(m.reshape(d_a, d_b, d_a, d_b), side))
+
+
+def _oriented(r4: np.ndarray, side: str) -> np.ndarray:
+    """The (d_A, d_B, d_A, d_B) array ``r4`` with ``side``'s indices first: itself
+    for "A", the factor-swapped view for "B", which is its own inverse."""
+    return r4 if side == "A" else r4.transpose(1, 0, 3, 2)
 
 
 def commutator_norm(x, y) -> float:

@@ -17,7 +17,7 @@ from discordant import (
     optimize_discord,
     von_neumann_entropy,
 )
-from discordant.correlations import _measured_entropy, _row_entropies, entropy_of_eigenvalues, state_entropies
+from discordant.correlations import _measured_entropy, entropy_of_eigenvalues, state_entropies
 from discordant.measurement import basis_from_parameters, conditional_blocks
 from discordant.states import (
     bell_mixture,
@@ -267,11 +267,13 @@ class TestStackedKernel:
             rows[0] = 0.0
             if width >= 8:
                 assert any(np.sum(row > 1e-12) >= 3 for row in rows)
-            stacked = _row_entropies(rows.reshape(6, 10, width))
+            stacked = entropy_of_eigenvalues(rows.reshape(6, 10, width))
             assert stacked.shape == (6, 10)
             for row, value in zip(rows, stacked.ravel()):
-                expected = entropy_of_eigenvalues(row)
-                assert value == expected and np.signbit(value) == np.signbit(expected)
+                kept = row[row > 1e-12]
+                expected = 0.0 - float(np.sum(kept * np.log2(kept)))
+                for got in (value, entropy_of_eigenvalues(row)):
+                    assert got == expected and np.signbit(got) == np.signbit(expected)
 
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_stacked_bases_equal_each_basis_alone(self, side):
@@ -286,7 +288,7 @@ class TestStackedKernel:
             bases = np.array([np.eye(d), *haar_bases(5, d, rng)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                probs, spectra, s_conditional = _measured_entropy(conditional_blocks(state.rho, state.dims, bases, side))
+                probs, spectra, s_conditional = _measured_entropy(state, bases, side)
             assert s_conditional.shape == (len(bases),)
             for k, basis in enumerate(bases):
                 blocks = conditional_blocks(state.rho, state.dims, basis, side)

@@ -110,6 +110,22 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             parse_document({"explicit": {"dims": [2], "matrix": []}})
 
+    def test_rejects_boolean_matrix_entries(self, tmp_path):
+        explicit = {"explicit": {"dims": [1, 2], "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}}
+        with pytest.raises(DocumentError, match="entries must be numbers"):
+            parse_document(explicit)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(explicit), encoding="utf-8")
+        result = invoke("classify", "--input", str(path))
+        assert result.exit_code == 2 and "entries must be numbers" in result.stderr
+
+    def test_rejects_boolean_basis_entries(self):
+        parameters = {"p": [0.5, 0.5], "basis_a": [[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [1.0, 0.0]]],
+                      "sigmas_b": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+        document = parse_document({"family": {"name": "zero_discord", "parameters": parameters}})
+        with pytest.raises(DocumentError, match="entries must be numbers"):
+            document_to_state(document)
+
     def test_invalid_state_raises_validation_error(self):
         document = parse_document(
             {

@@ -3,11 +3,14 @@ import pytest
 from scipy.optimize import minimize
 
 from discordant import (
+    BipartiteState,
     InvalidParameters,
     ProjectiveMeasurement,
+    partial_trace,
     post_measurement_state,
     von_neumann_entropy,
 )
+from discordant.discord import _side_blocks
 from discordant.measurement import (
     _dephase,
     _givens,
@@ -17,7 +20,7 @@ from discordant.measurement import (
 )
 from discordant.states import bell_mixture, example_state, random_state, zero_discord_state
 
-from oracles import state_entropy
+from oracles import haar_bases, state_entropy
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 H2_34 = 0.8112781244591328  # binary_entropy(0.75)
@@ -224,6 +227,36 @@ class TestPostMeasurementState:
             outcome_entropy = float(-sum(p * np.log2(p) for p in probs if p > 1e-12))
             post_entropy = von_neumann_entropy(post_measurement_state(state, m).rho)
             assert post_entropy == pytest.approx(outcome_entropy + conditional, abs=1e-9)
+
+
+def swapped(rho, dims):
+    """An explicit copy of ``rho`` with its two tensor factors exchanged."""
+    d_a, d_b = dims
+    return np.ascontiguousarray(rho.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)).reshape(d_a * d_b, -1)
+
+
+class TestOneOrientation:
+    """Side B of rho is side A of the factor-swapped rho, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4), (3, 3)])
+    def test_side_b_equals_side_a_of_the_swapped_state(self, dims):
+        d_a, d_b = dims
+        rng = np.random.default_rng(61)
+        state = random_state(dims, seed=d_a * 10 + d_b)
+        mirror = BipartiteState((d_b, d_a), swapped(state.rho, dims))
+        assert np.array_equal(partial_trace(state.rho, dims, "B"), partial_trace(mirror.rho, mirror.dims, "A"))
+        assert np.array_equal(partial_trace(state.rho, dims, "A"), partial_trace(mirror.rho, mirror.dims, "B"))
+        bases = haar_bases(4, d_b, rng)
+        for basis in (bases[0], bases):
+            assert np.array_equal(conditional_blocks(state.rho, dims, basis, "B"),
+                                  conditional_blocks(mirror.rho, mirror.dims, basis, "A"))
+        for basis in bases:
+            after = post_measurement_state(state, ProjectiveMeasurement("B", basis)).rho
+            mirrored = post_measurement_state(mirror, ProjectiveMeasurement("A", basis)).rho
+            assert np.array_equal(after, swapped(mirrored, mirror.dims))
+        blocks, mirrored_blocks = _side_blocks(state, "B"), _side_blocks(mirror, "A")
+        assert len(blocks) == len(mirrored_blocks) == d_a * d_a
+        assert all(np.array_equal(x, y) for x, y in zip(blocks, mirrored_blocks))
 
 
 class TestDephase:

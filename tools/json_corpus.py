@@ -13,9 +13,10 @@ differ, the lines).
 The package is imported from the ``src`` directory next to this script. The
 searches run at ``--restarts 2``. Human ``analyze`` output is left out, since
 its ``elapsed:`` line is wall time. The sources include states whose A
-marginal has a null space, states whose marginals are degenerate, and an
-explicit document whose A marginal is a near-degenerate chain. The error calls
-include documents that each fail one state check.
+marginal has a null space, states whose marginals are degenerate, an
+explicit document whose A marginal is a near-degenerate chain, and (2, 9)
+states whose entropy rows are 9 wide with dropped eigenvalues. The error
+calls include documents that each fail one state check.
 """
 
 from __future__ import annotations
@@ -84,6 +85,22 @@ FAMILY_SOURCES = {
 }
 
 
+# (2, 9) states whose entropy rows are 9 wide with dropped eigenvalues: the
+# blocks of a measured A have rank 1 or 3, and B's outcome probabilities drop
+# some at the eigenbasis start. Only rank 3 leaves three or more terms in a row,
+# which the grouping of a 9-term sum can change. Side B's D2 search stops at
+# its evaluation cap, so these sources run a short list.
+WIDE_SOURCES = [_family("random", dims=[2, 9], rank=rank, seed=12) for rank in (1, 3)]
+
+
+def _wide_calls(source: tuple[str, ...]) -> list[tuple[str, ...]]:
+    calls = [("analyze", *source, *RESTARTS, "--json")]
+    calls += [("classify", *source, "--side", side, "--json") for side in ("A", "B")]
+    for measure, side in (("D1", "A"), ("D2", "A"), ("D2", "B"), ("D3", "A"), ("D3", "B")):
+        calls.append(("discord", *source, "--measure", measure, "--side", side, *RESTARTS, "--json"))
+    return calls
+
+
 def _chain_document() -> str:
     """An explicit (3, 2) document whose A marginal is the near-degenerate chain
     1/3 + (6e-9, -6e-9, 0): (1/3) sum_k |f_k><f_k| x sigma_k, classical in a
@@ -117,6 +134,8 @@ ERROR_CALLS = [
     # Documents that parse but fail one state check each: exit 3, one error line.
     ("classify", "--input", "{non_hermitian}"),
     ("classify", "--input", "{negative}"),
+    # A JSON boolean is not a number: exit 2.
+    ("classify", "--input", "{boolean}"),
     ("classify", *_family("random", dims=[2, 2], rank=5)),
     ("classify", *_family("random", dims=[2, 2, 5])),
     ("classify", *_family("zero_discord", p=[0.5, 0.5],
@@ -175,6 +194,7 @@ def _calls(scratch: str) -> list[tuple[tuple[str, ...], str | None]]:
         ("table1", *RESTARTS),
         ("table1", *RESTARTS, "--json"),
         ("table1", *RESTARTS, "--param", "a=0.3", "--json"),
+        *[call for source in WIDE_SOURCES for call in _wide_calls(source)],
         *ERROR_CALLS,
     ]
     return [(call, saved.get(index)) for index, call in enumerate(calls)]
@@ -190,6 +210,7 @@ def main_corpus() -> int:
             "{chain}": _chain_document(),
             "{non_hermitian}": _explicit([[0.5, 0.1], [0.0, 0.5]]),
             "{negative}": _explicit([[1.5, 0.0], [0.0, -0.5]]),
+            "{boolean}": json.dumps({"explicit": {"dims": [1, 2], "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}}),
         }
         files = {key: os.path.join(scratch, key.strip("{}") + ".json") for key in ("{missing}", *texts)}
         for key, text in texts.items():
