@@ -19,7 +19,7 @@ from .correlations import (
     state_entropies,
     von_neumann_entropy,
 )
-from .demon import WorkLedger, work_ledger, work_single
+from .demon import WorkLedger, work_ledger
 from .discord import (
     DiscordReport,
     MeasuredDiscord,

@@ -4,16 +4,15 @@ Exit codes: 0 success (and ZERO for classify), 1 NONZERO (classify), 2 parse
 error (a malformed document or family parameter, an --input file that cannot be
 read or is not UTF-8, an -o file that cannot be written, or an optimizer option
 out of range, such as a negative seed), 3 validation error (an invalid state,
-a random family value that is not integral, a kT that is not positive and
-finite or whose work values overflow, a table1 parameter out of range, or any
-other library error raised after loading), 4 AMBIGUOUS (classify). One
-boundary, ``main``'s invoke, maps library errors to exit codes. Optimizer
-settings come from the --seed and --restarts flags only; the simplex tolerance
-is the fixed ``SIMPLEX_TOLERANCE``. --json writes the library's report
-dataclasses as they are, with measurement bases as rows of [re, im] pairs;
-analyze re-derives no identity at run time, and its ``warnings`` list is always
-empty. Each printed search that did not converge adds one ``warning:`` line on
-stderr.
+a random family value that is not integral, such as a NaN, infinite or null
+seed or rank, a table1 parameter out of range, or any other library error
+raised after loading), 4 AMBIGUOUS (classify). One boundary, ``main``'s
+invoke, maps library errors to exit codes. Optimizer settings come from the
+--seed and --restarts flags only; the simplex tolerance is the fixed
+``SIMPLEX_TOLERANCE``. --json writes the library's report dataclasses as they
+are, with measurement bases as rows of [re, im] pairs; analyze re-derives no
+identity at run time, and its ``warnings`` list is always empty. Each printed
+search that did not converge adds one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -160,7 +159,6 @@ def _warned(report: DiscordReport) -> DiscordReport:
 
 def _ledger_payload(ledger: WorkLedger) -> dict:
     return {
-        "kT": ledger.kt,
         "w_plus": ledger.w_plus,
         "w_local": ledger.w_local,
         "w2": ledger.w2,
@@ -183,7 +181,7 @@ def _analysis_report(state: BipartiteState, document: StateDocument, config: Opt
         "A": classify_zero_discord(state, "A"),
         "B": classify_zero_discord(state, "B"),
     }
-    ledger = work_ledger(state, kt=1.0, config=config)
+    ledger = work_ledger(state, config=config)
     d2 = _warned(ledger.d2)
 
     notes = []
@@ -255,7 +253,7 @@ def _render_analysis(report: dict) -> None:
         )
     w = report["demon"]
     _echo(
-        f"demon (kT={w['kT']}): W+ {_fmt(w['w_plus'])}  W_L {_fmt(w['w_local'])}  "
+        f"demon:     W+ {_fmt(w['w_plus'])}  W_L {_fmt(w['w_local'])}  "
         f"W2 {_fmt(w['w2'])}  W3 {_fmt(w['w3'])}"
     )
     _echo(
@@ -344,20 +342,19 @@ def discord_command(input_path, family, params, seed, restarts, measure, side, a
 @main.command()
 @input_options
 @optimizer_options
-@click.option("--kt", type=float, default=1.0, show_default=True, help="Energy unit kT.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-def demon(input_path, family, params, seed, restarts, kt, as_json):
-    """Work-extraction ledger for the four engine scenarios."""
+def demon(input_path, family, params, seed, restarts, as_json):
+    """Work-extraction ledger for the four engine scenarios, in bits."""
     state, _ = _load(input_path, family, params)
     config = _make_config(seed, restarts)
-    ledger = work_ledger(state, kt=kt, config=config)
+    ledger = work_ledger(state, config=config)
     _warned(ledger.d2)
     if as_json:
         _echo_json(_ledger_payload(ledger))
     else:
         _echo(
             f"W+ {_fmt(ledger.w_plus)}  W_L {_fmt(ledger.w_local)}  "
-            f"W2 {_fmt(ledger.w2)}  W3 {_fmt(ledger.w3)}  (kT={ledger.kt})"
+            f"W2 {_fmt(ledger.w2)}  W3 {_fmt(ledger.w3)}"
         )
         _echo(
             f"dL {_fmt(ledger.delta_l)}  d2 {_fmt(ledger.delta_2)}  d3 {_fmt(ledger.delta_3)}"

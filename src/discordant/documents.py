@@ -163,7 +163,7 @@ def parse_document(obj) -> StateDocument:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise DocumentError(f"'dims' must be two positive integers, got {dims!r}")
     matrix = _complex_matrix(block["matrix"], "explicit.matrix")

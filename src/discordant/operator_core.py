@@ -127,9 +127,13 @@ def _side(side) -> str:
 
 
 def _integral(value, name: str) -> int:
-    """``value`` as an int; a boolean, or an int() that changes the value, raises InvalidParameters."""
-    as_int = int(value)
-    if isinstance(value, (bool, np.bool_)) or as_int != value:
+    """``value`` as an int; a boolean, an int() that fails (NaN, inf, None, a
+    string) or one that changes the value raises InvalidParameters."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if isinstance(value, (bool, np.bool_)) or as_int is None or as_int != value:
         raise InvalidParameters(f"{name} must be an integer, got {value!r}")
     return as_int
 

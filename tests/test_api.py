@@ -33,7 +33,7 @@ PUBLIC_NAMES = {
     "ZeroDiscordVerdict", "bell_mixture_discord_closed_form", "classify_zero_discord",
     "discord_d1_at", "discord_d2_at", "discord_d3", "discord_d3_symmetric", "optimize_discord",
     # demon
-    "WorkLedger", "work_ledger", "work_single",
+    "WorkLedger", "work_ledger",
 }
 
 
@@ -49,9 +49,9 @@ def test_optimizer_config_fields():
 def test_work_ledger_fields():
     fields = list(discordant.WorkLedger.__dataclass_fields__)
     assert fields == [
-        "kt", "w_plus", "w_local", "w2", "w3", "delta_l", "delta_2", "delta_3", "d2",
+        "w_plus", "w_local", "w2", "w3", "delta_l", "delta_2", "delta_3", "d2",
     ]
-    assert list(inspect.signature(discordant.work_ledger).parameters) == ["state", "kt", "config"]
+    assert list(inspect.signature(discordant.work_ledger).parameters) == ["state", "config"]
 
 
 def test_import_loads_no_scipy():

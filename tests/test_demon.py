@@ -8,18 +8,17 @@ from discordant import (
     conditional_entropy_after_measurement,
     discord_d2_at,
     discord_d3,
+    information_function,
     mutual_information,
     optimize_discord,
     post_measurement_state,
     work_ledger,
-    work_single,
 )
 from discordant.states import (
     bell_mixture,
     classical_classical_state,
     example_state,
     random_state,
-    zero_discord_state,
 )
 
 import oracles
@@ -31,25 +30,20 @@ FAST = OptimizerConfig(restarts=6, seed=1)
 
 
 class TestWorkSingle:
+    """The work one known state yields, log2 d - S(rho) bits, is information_function."""
+
     def test_pure_qubit(self):
-        assert work_single(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        assert information_function(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert work_single(np.eye(2) / 2) == pytest.approx(0.0, abs=1e-12)
+        assert information_function(np.eye(2) / 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_binary_spectrum(self):
-        assert work_single(np.diag([0.75, 0.25])) == pytest.approx(WORK_QUARTER, abs=1e-14)
-
-    def test_kt_scaling(self):
-        assert work_single(np.diag([0.75, 0.25]), kt=3.0) == pytest.approx(
-            3.0 * WORK_QUARTER, abs=1e-13
-        )
+        assert information_function(np.diag([0.75, 0.25])) == pytest.approx(WORK_QUARTER, abs=1e-14)
 
     def test_rejects_non_density(self):
         with pytest.raises(InvalidParameters, match="differs from 1"):
-            work_single(np.eye(2))
-        with pytest.raises(InvalidParameters):
-            work_single(np.eye(2) / 2, kt=0.0)
+            information_function(np.eye(2))
 
 
 class TestWorkLedger:
@@ -100,31 +94,6 @@ class TestWorkLedger:
             assert ledger.w2 >= ledger.w3 - 1e-7
             for delta in (ledger.delta_l, ledger.delta_2, ledger.delta_3):
                 assert delta >= -1e-7
-
-    def test_kt_scaling_is_exact(self):
-        state = zero_discord_state(
-            [0.4, 0.6], np.eye(2),
-            [np.diag([0.9, 0.1]).astype(complex), np.diag([0.2, 0.8]).astype(complex)],
-        )
-        unit = work_ledger(state, kt=1.0, config=FAST)
-        scaled = work_ledger(state, kt=2.5, config=FAST)
-        for name in ("w_plus", "w_local", "w2", "w3", "delta_l", "delta_2", "delta_3"):
-            assert getattr(scaled, name) == 2.5 * getattr(unit, name)
-        assert scaled.d2.value == unit.d2.value  # the D2 report stays in bits
-
-    def test_rejects_bad_kt(self):
-        for kt in (-1.0, 0.0, float("nan"), float("inf"), "1", None, True):
-            with pytest.raises(InvalidParameters):
-                work_ledger(bell_mixture(1.0), kt=kt)
-            with pytest.raises(InvalidParameters):
-                work_single(np.eye(2) / 2, kt=kt)
-
-    def test_rejects_overflowing_kt(self):
-        # kT is finite, but kT times the work is not.
-        with pytest.raises(InvalidParameters):
-            work_ledger(bell_mixture(1.0), kt=1e308, config=OptimizerConfig(restarts=1))
-        with pytest.raises(InvalidParameters):
-            work_single(np.diag([1.0, 0.0, 0.0, 0.0]), kt=1e308)
 
     def test_w2_measurement_reported(self):
         ledger = work_ledger(example_state(0.5, 0.5), config=FAST)

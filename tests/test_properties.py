@@ -89,12 +89,6 @@ OPTION_TEXT = st.one_of(
 CHEAP = ["--family", "example_state", "--param", "b=0.5", "--param", "c=0.5", "--restarts", "1"]
 
 
-@FUZZ
-@given(OPTION_TEXT)
-def test_demon_kt_exits_with_a_documented_code(kt):
-    _assert_documented_exit(["demon", *CHEAP, "--kt", kt])
-
-
 @settings(FUZZ, max_examples=50)
 @given(st.one_of(OPTION_TEXT, VALUES.map(json.dumps)))
 def test_table1_parameter_exits_with_a_documented_code(a):

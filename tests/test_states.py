@@ -185,6 +185,16 @@ class TestRandomState:
         with pytest.raises(InvalidParameters):
             random_state((2, 2), seed=1.5)
 
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"seed": float("nan")}, "seed must be an integer, got nan"),
+        ({"rank": float("inf")}, "rank must be an integer, got inf"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"dims": ("a", 2)}, "d_A must be an integer, got 'a'"),
+    ])
+    def test_unconvertible_values_raise(self, kwargs, fragment):
+        with pytest.raises(InvalidParameters, match=fragment):
+            random_state(**{"dims": (2, 2), **kwargs})
+
     def test_malformed_dims_and_booleans_raise(self):
         for dims in ((2, 2, 5), {"a": 1}, {}):
             with pytest.raises(InvalidParameters, match="two entries"):

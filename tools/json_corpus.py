@@ -8,7 +8,11 @@ stderr on every call, so a change that claims byte-identical output is
 checked by running this on both and comparing totals (and, where they
 differ, the lines).
 
-    python tools/json_corpus.py
+    python tools/json_corpus.py [--dump DIR]
+
+With ``--dump DIR``, each call's exit code, call, stdout and stderr are also
+written to ``DIR/NNNN.txt`` (NNNN its index), so ``diff -ra`` of two dumps
+shows every changed line, not only which digests moved.
 
 The package is imported from the ``src`` directory next to this script. The
 searches run at ``--restarts 2``. Human ``analyze`` output is left out, since
@@ -21,6 +25,7 @@ calls include documents that each fail one state check.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -147,6 +152,11 @@ ERROR_CALLS = [
     ("classify", *_family("classical_classical", weights=[0.5, 0.5])),
     ("classify", *_family("teahouse_ensemble", weights=[0.125] * 8)),
     ("classify", *_family("teahouse_ensemble", weights=[float("nan")] * 9)),
+    # Values int() cannot convert are not integral (exit 3); a boolean
+    # explicit dimension is a schema error (exit 2).
+    ("classify", "--family", "random", "--param", "dims=[2,2]", "--param", "rank=Infinity"),
+    ("classify", "--family", "random", "--param", "dims=[2,2]", "--param", "seed=null"),
+    ("classify", "--input", "{boolean_dims}"),
 ]
 
 
@@ -200,7 +210,7 @@ def _calls(scratch: str) -> list[tuple[tuple[str, ...], str | None]]:
     return [(call, saved.get(index)) for index, call in enumerate(calls)]
 
 
-def main_corpus() -> int:
+def main_corpus(dump: str | None = None) -> int:
     runner = CliRunner()
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -211,6 +221,9 @@ def main_corpus() -> int:
             "{non_hermitian}": _explicit([[0.5, 0.1], [0.0, 0.5]]),
             "{negative}": _explicit([[1.5, 0.0], [0.0, -0.5]]),
             "{boolean}": json.dumps({"explicit": {"dims": [1, 2], "matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}}),
+            "{boolean_dims}": json.dumps(
+                {"explicit": {"dims": [True, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}}
+            ),
         }
         files = {key: os.path.join(scratch, key.strip("{}") + ".json") for key in ("{missing}", *texts)}
         for key, text in texts.items():
@@ -219,20 +232,29 @@ def main_corpus() -> int:
         # The temporary directory's name differs between runs; it is replaced
         # in the printed calls and in the hashed output.
         prefix = (scratch + os.sep).encode()
-        for call, save in _calls(scratch):
+        for index, (call, save) in enumerate(_calls(scratch)):
             result = runner.invoke(main, [files.get(arg, arg) for arg in call])
             if save is not None:
                 with open(save, "wb") as handle:
                     handle.write(result.stdout_bytes)
-            output = result.stdout_bytes + b"\0" + result.stderr_bytes
-            digest = hashlib.sha256(output.replace(prefix, b"<tmp>/")).hexdigest()[:16]
+            stdout, stderr = (out.replace(prefix, b"<tmp>/") for out in (result.stdout_bytes, result.stderr_bytes))
+            digest = hashlib.sha256(stdout + b"\0" + stderr).hexdigest()[:16]
             shown = " ".join(call).replace(scratch + os.sep, "<tmp>/")
             lines.append(f"{result.exit_code} {digest} {shown}")
             print(lines[-1], flush=True)
+            if dump is not None:
+                with open(os.path.join(dump, f"{index:04d}.txt"), "wb") as handle:
+                    handle.write(f"exit {result.exit_code}\n{shown}\n--- stdout\n".encode())
+                    handle.write(stdout + b"--- stderr\n" + stderr)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     print(f"total {total} over {len(lines)} calls")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_corpus())
+    parser = argparse.ArgumentParser(description="Byte-identity corpus for the discordant CLI.")
+    parser.add_argument("--dump", metavar="DIR", help="also write each call's output to DIR/NNNN.txt")
+    dump = parser.parse_args().dump
+    if dump is not None:
+        os.makedirs(dump, exist_ok=True)
+    sys.exit(main_corpus(dump))
