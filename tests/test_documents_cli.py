@@ -319,6 +319,7 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("command", [
         ("classify", "--family", "bell_mixture", "--param", "a=x"),
+        ("classify", "--family", "bell_mixture", "--param", "a=[1]"),
         ("states", "emit", "bell_mixture", "--param", "a=x", "--explicit"),
     ])
     def test_non_numeric_family_parameter_exit_2(self, command):
